@@ -485,8 +485,9 @@ func sharedBatcher(opts BatchOptions) (*Batcher, error) {
 	return b, nil
 }
 
-// LeafBackends lists the registered leaf-kernel backends ("portable" and
-// "simd" always; "blas" when built with the blas tag). The autotuner
+// LeafBackends lists the registered leaf-kernel backends ("portable"
+// always; "simd" where its AVX2 kernel can run; "blas" when built with the
+// blas tag). The autotuner
 // enumerates them as a candidate dimension — restrict it with
 // AutoOptions.Backends, pin an executor with Options.Backend, or override
 // the process default with the FASTMM_BACKEND environment variable.
@@ -494,7 +495,8 @@ func LeafBackends() []string { return gemm.Names() }
 
 // LeafBackendAccelerated reports whether the named backend runs an
 // architecture-specific fast path on this machine (e.g. the simd backend's
-// AVX2 assembly; false means its pure-Go fallback is in use).
+// AVX2 assembly; false for the pure-Go portable backend and for names that
+// are not registered).
 func LeafBackendAccelerated(name string) bool {
 	be, err := gemm.Get(name)
 	return err == nil && be.Accelerated()

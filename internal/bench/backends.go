@@ -15,8 +15,8 @@ func init() {
 // worker count, and prints the simd-vs-portable speedup per size. This is
 // the experiment behind the multi-backend acceptance bar: on AVX2 hardware
 // the simd micro-kernel must beat the portable kernel at square sizes ≥ 512
-// (the pure-Go fallback build instead documents its parity, and the
-// property tests in internal/gemm pin its correctness against Naive).
+// (builds without the AVX2 kernel register portable only, and the property
+// tests in internal/gemm pin every backend's correctness against Naive).
 func runBackends(cfg Config) ([]Point, error) {
 	w := cfg.Workers
 	out := cfg.Out

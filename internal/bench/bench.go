@@ -109,8 +109,18 @@ func medianTime(trials int, f func()) float64 {
 		f()
 		ts = append(ts, time.Since(start).Seconds())
 	}
-	sort.Float64s(ts)
-	return ts[len(ts)/2]
+	return median(ts)
+}
+
+// median sorts xs in place and returns its median: the middle sample for an
+// odd count, the mean of the two middle samples for an even one.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	h := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[h-1] + xs[h]) / 2
+	}
+	return xs[h]
 }
 
 // bestTime runs f trials times and returns the fastest duration in seconds —

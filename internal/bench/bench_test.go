@@ -64,6 +64,24 @@ func TestMedianTime(t *testing.T) {
 	}
 }
 
+// TestMedianTrials pins the median for 1–4 trials: even counts average the
+// two middle samples, so two trials do not report the slower one.
+func TestMedianTrials(t *testing.T) {
+	for _, c := range []struct {
+		samples []float64
+		want    float64
+	}{
+		{[]float64{3}, 3},
+		{[]float64{4, 2}, 3},
+		{[]float64{5, 1, 3}, 3},
+		{[]float64{8, 1, 2, 4}, 3},
+	} {
+		if got := median(append([]float64(nil), c.samples...)); got != c.want {
+			t.Errorf("median(%v) = %g, want %g", c.samples, got, c.want)
+		}
+	}
+}
+
 func TestOperandsDeterministic(t *testing.T) {
 	a1, b1, _ := operands(10, 11, 12)
 	a2, b2, _ := operands(10, 11, 12)

@@ -2,8 +2,8 @@
 
 // Package avx holds the architecture-specific half of the "simd" leaf
 // backend. On this build (non-amd64, or the `nosimd` tag) the assembly is
-// compiled out: Supported is false and the gemm package substitutes its
-// pure-Go 6×8 kernel, so the "simd" backend keeps working everywhere.
+// compiled out: Supported is false and the gemm package does not register
+// the "simd" backend, leaving "portable" as the only blocked kernel.
 package avx
 
 // Supported is false on builds without the assembly kernel.

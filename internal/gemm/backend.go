@@ -21,9 +21,9 @@ type Backend interface {
 	// Name is the stable identifier ("portable", "simd", "blas").
 	Name() string
 	// Accelerated reports whether the backend runs an architecture-specific
-	// fast path on this machine (false for pure-Go fallbacks). It affects
-	// default-backend selection only; non-accelerated backends stay fully
-	// usable and produce the same results.
+	// fast path on this machine (false for the pure-Go portable backend).
+	// It affects default-backend selection only; non-accelerated backends
+	// stay fully usable and produce the same results.
 	Accelerated() bool
 	// Gemm computes C = alpha·A·B (accumulate=false) or C += alpha·A·B
 	// (accumulate=true) using up to workers goroutines. Callers go through
@@ -103,7 +103,7 @@ func namesLocked() []string {
 	return out
 }
 
-// Default returns the backend the package-level Mul/MulAdd/... entry points
+// Default returns the backend the package-level Mul/MulScaled/... entry points
 // dispatch to. Resolution order: the FASTMM_BACKEND environment variable
 // (when it names a registered backend), a compiled-in "blas" backend, an
 // accelerated "simd" backend, then "portable".

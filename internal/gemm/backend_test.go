@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fastmm/internal/gemm/avx"
 	"fastmm/internal/mat"
 )
 
@@ -83,15 +84,15 @@ func TestBackendsOnViews(t *testing.T) {
 
 func TestBackendRegistry(t *testing.T) {
 	names := Names()
-	if len(names) < 2 {
-		t.Fatalf("expected at least portable+simd registered, have %v", names)
-	}
 	seen := map[string]bool{}
 	for _, n := range names {
 		seen[n] = true
 	}
-	if !seen["portable"] || !seen["simd"] {
-		t.Fatalf("portable and simd must always register, have %v", names)
+	if !seen["portable"] {
+		t.Fatalf("portable must always register, have %v", names)
+	}
+	if seen["simd"] != avx.Supported {
+		t.Fatalf("simd must register exactly when the AVX2 kernel can run (%v), have %v", avx.Supported, names)
 	}
 	if _, err := Get("no-such-backend"); err == nil {
 		t.Fatal("Get of unknown backend must fail")
@@ -125,9 +126,12 @@ func TestBackendRegistry(t *testing.T) {
 // TestBackendPackWorkspace pins the workspace contract: blocked backends
 // report their exact slab sizes (whole micro-tiles of the mc/nc panels).
 func TestBackendPackWorkspace(t *testing.T) {
-	for _, name := range []string{"portable", "simd"} {
+	for _, name := range Names() {
 		be, _ := Get(name)
-		bk := be.(*blockedBackend)
+		bk, ok := be.(*blockedBackend)
+		if !ok {
+			continue
+		}
 		wantA := ((mc + bk.mr - 1) / bk.mr) * bk.mr * kc
 		wantB := kc * ((nc + bk.nr - 1) / bk.nr) * bk.nr
 		if got := be.PackFloatsPerWorker(); got != int64(wantA+wantB) {
@@ -136,27 +140,34 @@ func TestBackendPackWorkspace(t *testing.T) {
 	}
 }
 
-// TestSIMDKernelVsGoKernel compares the build's selected 6×8 kernel against
-// the pure-Go rendering on raw packed panels. On an accelerated build this
-// pits the FMA assembly against the fallback — they must agree to rounding;
-// on fallback builds it is a self-check that still pins the panel layout.
+// TestSIMDKernelVsGoKernel checks the AVX2 6×8 kernel against the Naive
+// oracle: random 6×kb and kb×8 operands are packed into the micro-panel
+// layouts by hand, and the kernel must add their product into a tile of a
+// strided destination, leaving everything around the tile untouched.
 func TestSIMDKernelVsGoKernel(t *testing.T) {
+	if !avx.Supported {
+		t.Skip("no AVX2 assembly kernel in this build or on this CPU")
+	}
 	rng := rand.New(rand.NewSource(13))
 	for _, kb := range []int{1, 2, 7, 64, 256} {
+		A, B := randMat(6, kb, rng), randMat(kb, 8, rng)
 		ap := make([]float64, kb*6)
 		bp := make([]float64, kb*8)
-		for i := range ap {
-			ap[i] = 2*rng.Float64() - 1
+		for k := 0; k < kb; k++ {
+			for i := 0; i < 6; i++ {
+				ap[k*6+i] = A.At(i, k)
+			}
+			copy(bp[k*8:k*8+8], B.Row(k))
 		}
-		for i := range bp {
-			bp[i] = 2*rng.Float64() - 1
-		}
-		Cs := randMat(10, 12, rng) // strided destination, tile at (2, 3)
-		Cg := Cs.Clone()
-		simdKernel(Cs.View(1, 1, 8, 10), 1, 2, kb, ap, bp)
-		microKernel6x8go(Cg.View(1, 1, 8, 10), 1, 2, kb, ap, bp)
-		if d := mat.MaxAbsDiff(Cs, Cg); d > 1e-12*float64(kb+1) {
-			t.Fatalf("kb=%d: selected 6x8 kernel differs from pure-Go by %g", kb, d)
+		C := randMat(10, 12, rng) // strided destination, tile at (2, 3)
+		want := C.Clone()
+		prod := mat.New(6, 8)
+		Naive(prod, A, B)
+		mat.Axpy(want.View(2, 3, 6, 8), 1, prod)
+		tile := C.View(2, 3, 6, 8)
+		avx.Dgemm6x8(kb, &ap[0], &bp[0], &tile.Data()[0], tile.Stride())
+		if d := mat.MaxAbsDiff(C, want); d > 1e-12*float64(kb+1) {
+			t.Fatalf("kb=%d: Dgemm6x8 differs from Naive by %g", kb, d)
 		}
 	}
 }

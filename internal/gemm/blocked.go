@@ -7,8 +7,8 @@ import (
 	"fastmm/internal/mat"
 )
 
-// maxMR/maxNR bound the micro-tile dims a blocked backend may use (the
-// generic edge kernel carries a maxMR×maxNR scratch tile on its stack).
+// maxMR/maxNR bound the micro-tile dims a blocked backend may use (every
+// worker's pooled scratch tile is maxMR×maxNR).
 const (
 	maxMR = 8
 	maxNR = 8
@@ -16,13 +16,14 @@ const (
 
 // microKernelFunc computes a full mr×nr tile of C at (i0, j0):
 // C[i0:i0+mr, j0:j0+nr] += Ap·Bp over kb rank-1 terms, with Ap and Bp in the
-// packed micro-panel layouts produced by packA/packB.
+// packed micro-panel layouts produced by packAFused/packBFused.
 type microKernelFunc func(C *mat.Dense, i0, j0, kb int, ap, bp []float64)
 
 // blockedBackend is the shared GotoBLAS/BLIS-structured engine: everything —
 // panel blocking, packing, slab parallelism, edge handling — is generic, and
 // only the full-tile micro-kernel (plus its MR×NR shape) differs per backend,
-// the BLIS thesis applied to this repository.
+// the BLIS thesis applied to this repository. There is one loop nest: a plain
+// gemm is the one-term case of the fused leaf (GemmFused).
 type blockedBackend struct {
 	name         string
 	accel        bool
@@ -64,9 +65,9 @@ func newBlocked(name string, accel bool, mr, nr int, kern microKernelFunc) *bloc
 }
 
 // packBufs is one worker's packing slab: the A and B panel buffers together
-// (one pool round-trip per gemm call), plus the fused path's scratch — the
-// micro-tile the kernel computes into before the scatter-add epilogue, and
-// three matrix headers the small path stamps over the slabs.
+// (one pool round-trip per gemm call), the micro-tile the kernel computes
+// into before the epilogue folds it into the destinations, and three matrix
+// headers the small path stamps over the slabs.
 type packBufs struct {
 	a, b       []float64
 	tile       *mat.Dense
@@ -77,136 +78,63 @@ func (bk *blockedBackend) Name() string               { return bk.name }
 func (bk *blockedBackend) Accelerated() bool          { return bk.accel }
 func (bk *blockedBackend) PackFloatsPerWorker() int64 { return int64(bk.apLen + bk.bpLen) }
 
+// Gemm is the one-term fused call: C (+)= alpha·(1·A)·(1·B) into the lone
+// destination 1·C. The sequential operand lists live on the stack, so a
+// sequential gemm allocates nothing once the pool is warm.
 func (bk *blockedBackend) Gemm(C *mat.Dense, alpha float64, A, B *mat.Dense, accumulate bool, workers int) {
 	if workers == 1 {
-		bk.gemmSeq(C, alpha, A, B, accumulate)
+		d, a, b := [1]Scaled{{M: C, Coeff: 1}}, [1]Scaled{{M: A, Coeff: 1}}, [1]Scaled{{M: B, Coeff: 1}}
+		bk.gemmFusedSeq(d[:], alpha, a[:], b[:], accumulate)
 		return
 	}
-	parallelSlabs(C, alpha, A, B, accumulate, workers, bk.mr, bk.nr, bk.gemmSeq)
+	bk.parallelSlabsFused([]Scaled{{M: C, Coeff: 1}}, alpha, []Scaled{{M: A, Coeff: 1}}, []Scaled{{M: B, Coeff: 1}}, accumulate, workers)
 }
 
-// gemmSeq is the sequential blocked kernel — the innermost leaf of every
-// multiply. Its packing slabs come from the pool, so steady state allocates
-// nothing; fmmvet holds it (and packA/packB/macroKernel) to that.
-//
-//fastmm:zeroalloc
-func (bk *blockedBackend) gemmSeq(C *mat.Dense, alpha float64, A, B *mat.Dense, accumulate bool) {
-	m, k, n := A.Rows(), A.Cols(), B.Cols()
-	if m <= naiveMax && n <= naiveMax && k <= naiveMax {
-		small(C, alpha, A, B, accumulate)
-		return
-	}
-	if !accumulate {
-		C.Zero()
-	}
-	pb := bk.pool.Get().(*packBufs)
-	ap, bp := pb.a, pb.b
-	defer bk.pool.Put(pb)
-
+// blockedLoop is the blocked loop nest over (Σc·A)·(Σc·B): k-panels, then
+// column panels of B packed once per k-panel, then row panels of A, each
+// pair multiplied by macroKernel. alpha is folded into packed A. Only the
+// first k-panel may overwrite: later panels accumulate the remaining rank-1
+// terms on top.
+func (bk *blockedBackend) blockedLoop(pb *packBufs, dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool) {
+	m, k := asrcs[0].M.Rows(), asrcs[0].M.Cols()
+	n := bsrcs[0].M.Cols()
 	for pc := 0; pc < k; pc += kc {
 		kb := min(kc, k-pc)
 		for jc := 0; jc < n; jc += nc {
 			nb := min(nc, n-jc)
-			packB(bp, B, pc, jc, kb, nb, bk.nr)
+			packBFused(pb.b, bsrcs, pc, jc, kb, nb, bk.nr)
 			for ic := 0; ic < m; ic += mc {
 				mb := min(mc, m-ic)
-				packA(ap, A, ic, pc, mb, kb, bk.mr, alpha)
-				bk.macroKernel(C, ic, jc, mb, nb, kb, ap, bp)
+				packAFused(pb.a, asrcs, ic, pc, mb, kb, bk.mr, alpha)
+				bk.macroKernel(dsts, pb.tile, ic, jc, mb, nb, kb, pb.a, pb.b, pc == 0, accumulate)
 			}
 		}
-	}
-}
-
-// packA packs the mb×kb panel of A at (ic, pc) into ap, scaled by alpha, in
-// micro-panel order: for each group of mr rows, the kb columns are stored
-// k-major ([k*mr + i]), zero-padded to a multiple of mr rows.
-func packA(ap []float64, A *mat.Dense, ic, pc, mb, kb, mr int, alpha float64) {
-	idx := 0
-	for ir := 0; ir < mb; ir += mr {
-		rows := min(mr, mb-ir)
-		for i := 0; i < rows; i++ {
-			src := A.Row(ic + ir + i)[pc : pc+kb]
-			dst := ap[idx+i:]
-			for kk, v := range src {
-				dst[kk*mr] = alpha * v
-			}
-		}
-		for i := rows; i < mr; i++ {
-			dst := ap[idx+i:]
-			for kk := 0; kk < kb; kk++ {
-				dst[kk*mr] = 0
-			}
-		}
-		idx += mr * kb
-	}
-}
-
-// packB packs the kb×nb panel of B at (pc, jc) into bp in micro-panel order:
-// for each group of nr columns, the kb rows are stored k-major
-// ([k*nr + j]), zero-padded to a multiple of nr columns.
-func packB(bp []float64, B *mat.Dense, pc, jc, kb, nb, nr int) {
-	idx := 0
-	for jr := 0; jr < nb; jr += nr {
-		cols := min(nr, nb-jr)
-		for kk := 0; kk < kb; kk++ {
-			src := B.Row(pc + kk)
-			dst := bp[idx+kk*nr : idx+kk*nr+nr]
-			for j := 0; j < cols; j++ {
-				dst[j] = src[jc+jr+j]
-			}
-			for j := cols; j < nr; j++ {
-				dst[j] = 0
-			}
-		}
-		idx += nr * kb
 	}
 }
 
 // macroKernel multiplies the packed mb×kb A panel by the packed kb×nb B
-// panel, accumulating into C at (ic, jc). Full tiles go to the backend's
-// micro-kernel; border tiles to the generic edge kernel.
-func (bk *blockedBackend) macroKernel(C *mat.Dense, ic, jc, mb, nb, kb int, ap, bp []float64) {
+// panel and folds the product into dsts at (ic, jc). A lone accumulating
+// coefficient-1 destination takes full tiles straight from the micro-kernel.
+// Every other tile — including the partial tiles at the borders, which the
+// zero-padded panels let the same micro-kernel compute — goes into the
+// scratch tile, and scatterTile folds its valid rows×cols part into every
+// destination.
+func (bk *blockedBackend) macroKernel(dsts []Scaled, tile *mat.Dense, ic, jc, mb, nb, kb int, ap, bp []float64, first, accumulate bool) {
 	mr, nr := bk.mr, bk.nr
+	direct := len(dsts) == 1 && dsts[0].Coeff == 1 && !overwrites(dsts[0], first, accumulate)
 	for jr := 0; jr < nb; jr += nr {
 		cols := min(nr, nb-jr)
 		bpanel := bp[(jr/nr)*nr*kb:]
 		for ir := 0; ir < mb; ir += mr {
 			rows := min(mr, mb-ir)
 			apanel := ap[(ir/mr)*mr*kb:]
-			if rows == mr && cols == nr {
-				bk.kern(C, ic+ir, jc+jr, kb, apanel, bpanel) //fastmm:allow static micro-kernel func pointer, bound at registry init
-			} else {
-				microKernelEdge(C, ic+ir, jc+jr, rows, cols, kb, mr, nr, apanel, bpanel)
-			}
-		}
-	}
-}
-
-// microKernelEdge handles partial tiles at the right/bottom borders for any
-// mr×nr ≤ maxMR×maxNR. The packed panels are zero-padded, so it can
-// accumulate into a full mr×nr scratch tile and copy out only the valid
-// portion.
-func microKernelEdge(C *mat.Dense, i0, j0, rows, cols, kb, mr, nr int, ap, bp []float64) {
-	var acc [maxMR * maxNR]float64
-	a := ap[: kb*mr : kb*mr]
-	b := bp[: kb*nr : kb*nr]
-	for k := 0; k < kb; k++ {
-		for i := 0; i < mr; i++ {
-			ai := a[k*mr+i]
-			if ai == 0 {
+			if direct && rows == mr && cols == nr {
+				bk.kern(dsts[0].M, ic+ir, jc+jr, kb, apanel, bpanel) //fastmm:allow static micro-kernel func pointer, bound at registry init
 				continue
 			}
-			bk := b[k*nr : k*nr+nr : k*nr+nr]
-			row := acc[i*nr : i*nr+nr : i*nr+nr]
-			for j, bv := range bk {
-				row[j] += ai * bv
-			}
-		}
-	}
-	for i := 0; i < rows; i++ {
-		ci := C.Row(i0 + i)
-		for j := 0; j < cols; j++ {
-			ci[j0+j] += acc[i*nr+j]
+			tile.Zero()
+			bk.kern(tile, 0, 0, kb, apanel, bpanel) //fastmm:allow static micro-kernel func pointer, bound at registry init
+			scatterTile(dsts, tile, ic+ir, jc+jr, rows, cols, first, accumulate)
 		}
 	}
 }

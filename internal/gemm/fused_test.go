@@ -13,7 +13,8 @@ import (
 type unfusedWrap struct{ Backend }
 
 // fusedReference computes the fused semantics the slow, obvious way:
-// materialize S and T, multiply with Naive, scatter.
+// materialize S and T, multiply with Naive, scatter (overwriting where the
+// call or the destination's first-touch mark says so).
 func fusedReference(dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool) {
 	m, k := asrcs[0].M.Rows(), asrcs[0].M.Cols()
 	n := bsrcs[0].M.Cols()
@@ -27,12 +28,10 @@ func fusedReference(dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumul
 	}
 	P := mat.New(m, n)
 	Naive(P, S, T)
-	if !accumulate {
-		for _, d := range dsts {
+	for _, d := range dsts {
+		if !accumulate || d.Overwrite {
 			d.M.Zero()
 		}
-	}
-	for _, d := range dsts {
 		mat.Axpy(d.M, d.Coeff*alpha, P)
 	}
 }
@@ -59,8 +58,9 @@ func TestDispatchFusedMatchesReference(t *testing.T) {
 		{96, 64, 96}, // blocked, tile-aligned for both backends
 		{61, 53, 67}, // blocked path... below naiveMax in every dim? no: 61 > 48
 		{130, 57, 131},
-		{256, 32, 64}, // tall-skinny
-		{64, 300, 48}, // k spans two kc panels
+		{256, 32, 64},  // tall-skinny
+		{64, 300, 48},  // k spans two kc panels
+		{131, 300, 77}, // two k-panels plus edge rows and columns for both tiles
 	}
 	backends := []Backend{}
 	for _, name := range Names() {
@@ -93,8 +93,15 @@ func TestDispatchFusedMatchesReference(t *testing.T) {
 						for i := range dsts {
 							base := mat.New(sh.m, sh.n)
 							base.FillRandom(rng)
-							dsts[i] = Scaled{M: base.Clone(), Coeff: float64(i) - 1}
-							want[i] = Scaled{M: base, Coeff: float64(i) - 1}
+							// When accumulating, the 0.5-weight destination
+							// carries the first-touch mark, so several
+							// destinations go through the scratch-tile
+							// scatter, which must overwrite on the first
+							// k-panel only, edge tiles included.
+							c := []float64{-1, 0.5, 1}[i]
+							ow := acc && i == 1
+							dsts[i] = Scaled{M: base.Clone(), Coeff: c, Overwrite: ow}
+							want[i] = Scaled{M: base, Coeff: c, Overwrite: ow}
 						}
 						DispatchFused(be, dsts, alpha, asrcs, bsrcs, acc, workers)
 						fusedReference(want, alpha, asrcs, bsrcs, acc)
@@ -135,9 +142,10 @@ func TestDispatchFusedDegenerate(t *testing.T) {
 	}
 }
 
-// TestGemmFusedSteadyStateAllocs holds the blocked fused leaf to the same
-// zero-allocation budget as gemmSeq: after the pool is warm, a sequential
-// fused call allocates nothing.
+// TestGemmFusedSteadyStateAllocs holds the blocked leaf to its
+// zero-allocation budget: after the pool is warm, a sequential fused call
+// allocates nothing, and neither does a plain sequential Gemm — its
+// one-term operand lists must stay on the stack.
 func TestGemmFusedSteadyStateAllocs(t *testing.T) {
 	for _, name := range Names() {
 		be, err := Get(name)
@@ -160,6 +168,14 @@ func TestGemmFusedSteadyStateAllocs(t *testing.T) {
 		// steady state rests on; the un-instrumented run is the contract.
 		if avg > 0 && !raceEnabled {
 			t.Errorf("%s: steady-state GemmFused allocates %.1f/op, want 0", name, avg)
+		}
+		A, B, C := asrcs[0].M, bsrcs[0].M, dsts[0].M
+		be.Gemm(C, 1, A, B, false, 1)
+		avg = testing.AllocsPerRun(10, func() {
+			be.Gemm(C, 1, A, B, false, 1)
+		})
+		if avg > 0 && !raceEnabled {
+			t.Errorf("%s: steady-state sequential Gemm allocates %.1f/op, want 0", name, avg)
 		}
 	}
 }

@@ -12,24 +12,29 @@
 //   - "portable": the pure-Go blocked kernel with an 8×4 register-tiled
 //     micro-kernel. Always registered, runs everywhere.
 //   - "simd": the same blocked structure with a wider 6×8 micro-kernel that
-//     maps onto AVX2 FMA lanes (Go assembly on amd64; a pure-Go 6×8 fallback
-//     on other architectures or under the `nosimd` build tag).
+//     maps onto AVX2 FMA lanes (Go assembly on amd64). It registers only
+//     where that kernel can run: builds with the `nosimd` tag, other
+//     architectures, and CPUs without AVX2/FMA run "portable" alone.
 //   - "blas": a cgo bridge to a vendor cblas_dgemm, only compiled under the
 //     `blas` build tag.
 //
 // The blocked backends follow the usual GotoBLAS/BLIS structure: the
 // operands are partitioned into cache-sized panels, panels are packed into
-// contiguous buffers, and a register-blocked micro-kernel computes MR×NR
-// tiles of C. A goroutine pool parallelizes over row (or column) slabs of C.
+// contiguous zero-padded buffers, and a register-blocked micro-kernel
+// computes MR×NR tiles of C — the partial tiles at the borders too, into a
+// scratch tile whose valid part is then added to C. There is one such loop
+// nest: a blocked backend's Gemm is the one-term call of the fused leaf
+// (GemmFused with the lists {1·C}, {1·A}, {1·B}). A goroutine pool
+// parallelizes over row (or column) slabs of C.
 // The performance *shape* — a ramp-up phase followed by a flat region,
 // higher flat rate for square than for skinny shapes — matches Figure 3 of
 // the paper, which is what the framework's recursion-cutoff logic depends
 // on; the autotuner calibrates one such curve per backend and picks the leaf
 // backend per shape like any other candidate dimension.
 //
-// The package-level Mul/MulAdd/... entry points dispatch to Default(), the
-// best backend available on this machine (override with FASTMM_BACKEND or
-// SetDefault).
+// The package-level Mul/MulScaled/... entry points dispatch to Default(),
+// the best backend available on this machine (override with FASTMM_BACKEND
+// or SetDefault).
 //
 // Worker contract: the requested worker count is honored as given — the
 // kernel no longer silently clamps it to GOMAXPROCS. Budgeting parallelism
@@ -40,7 +45,6 @@ package gemm
 
 import (
 	"fmt"
-	"sync"
 
 	"fastmm/internal/mat"
 )
@@ -62,9 +66,6 @@ const naiveMax = 48
 // for A M×K, B K×N.
 func Mul(C, A, B *mat.Dense) { Dispatch(Default(), C, 1, A, B, false, 1) }
 
-// MulAdd computes C += A·B sequentially.
-func MulAdd(C, A, B *mat.Dense) { Dispatch(Default(), C, 1, A, B, true, 1) }
-
 // MulScaled computes C = alpha·A·B sequentially. The fast-algorithm executor
 // uses alpha to pipe scalar factors through to the base case instead of
 // materializing scaled temporaries (§3.1).
@@ -81,11 +82,6 @@ func MulAddScaled(C *mat.Dense, alpha float64, A, B *mat.Dense) {
 // requested count is honored (see the package comment's worker contract).
 func MulParallel(C *mat.Dense, alpha float64, A, B *mat.Dense, workers int) {
 	Dispatch(Default(), C, alpha, A, B, false, workers)
-}
-
-// MulAddParallel computes C += alpha·A·B using up to workers goroutines.
-func MulAddParallel(C *mat.Dense, alpha float64, A, B *mat.Dense, workers int) {
-	Dispatch(Default(), C, alpha, A, B, true, workers)
 }
 
 // Dispatch computes C (+)= alpha·A·B through one backend: it validates
@@ -108,7 +104,7 @@ func Dispatch(be Backend, C *mat.Dense, alpha float64, A, B *mat.Dense, accumula
 	if workers < 1 {
 		workers = 1
 	}
-	//fastmm:allow Backend interface dispatch; the registry kernels are vetted via gemmSeq
+	//fastmm:allow Backend interface dispatch; the registry kernels are vetted via gemmFusedSeq
 	be.Gemm(C, alpha, A, B, accumulate, workers)
 }
 
@@ -142,41 +138,6 @@ func checkDims(C, A, B *mat.Dense) {
 		panic(fmt.Sprintf("gemm: dimension mismatch C %d×%d = A %d×%d · B %d×%d",
 			C.Rows(), C.Cols(), A.Rows(), A.Cols(), B.Rows(), B.Cols()))
 	}
-}
-
-// parallelSlabs decomposes C = alpha·A·B over independent slabs of C and runs
-// seq on each with its own goroutine: prefer splitting rows; when the matrix
-// is wide and short, split columns instead. Each slab is an independent
-// sequential gemm, so no reductions are needed. mr/nr are the micro-tile
-// dims used as minimum-useful slab heights/widths.
-func parallelSlabs(C *mat.Dense, alpha float64, A, B *mat.Dense, accumulate bool, workers, mr, nr int,
-	seq func(C *mat.Dense, alpha float64, A, B *mat.Dense, accumulate bool)) {
-	m, k, n := A.Rows(), A.Cols(), B.Cols()
-	type slab struct{ c, a, b *mat.Dense }
-	var slabs []slab
-	if m >= n && m >= 2*mr {
-		nchunks := min(workers, (m+mr-1)/mr)
-		for _, r := range ranges(m, nchunks) {
-			slabs = append(slabs, slab{C.View(r.lo, 0, r.n, n), A.View(r.lo, 0, r.n, k), B})
-		}
-	} else if n >= 2*nr {
-		nchunks := min(workers, (n+nr-1)/nr)
-		for _, r := range ranges(n, nchunks) {
-			slabs = append(slabs, slab{C.View(0, r.lo, m, r.n), A, B.View(0, r.lo, k, r.n)})
-		}
-	} else {
-		seq(C, alpha, A, B, accumulate)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, s := range slabs {
-		wg.Add(1)
-		go func(s slab) {
-			defer wg.Done()
-			seq(s.c, alpha, s.a, s.b, accumulate)
-		}(s)
-	}
-	wg.Wait()
 }
 
 type span struct{ lo, n int }

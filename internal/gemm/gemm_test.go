@@ -49,7 +49,7 @@ func TestMulAddAccumulates(t *testing.T) {
 	prod := mat.New(60, 55)
 	Naive(prod, A, B)
 
-	MulAdd(C, A, B)
+	Dispatch(Default(), C, 1, A, B, true, 1)
 	want := mat.New(60, 55)
 	for i := 0; i < 60; i++ {
 		for j := 0; j < 55; j++ {
@@ -57,7 +57,7 @@ func TestMulAddAccumulates(t *testing.T) {
 		}
 	}
 	if d := mat.MaxAbsDiff(C, want); d > tolFor(70) {
-		t.Fatalf("MulAdd off by %g", d)
+		t.Fatalf("accumulating gemm off by %g", d)
 	}
 }
 
@@ -118,8 +118,9 @@ func TestMulAddParallel(t *testing.T) {
 	A, B := randMat(200, 100, rng), randMat(100, 180, rng)
 	C := randMat(200, 180, rng)
 	want := C.Clone()
-	MulAdd(want, A, B)
-	MulAddParallel(C, 1, A, B, 6)
+	be := Default()
+	Dispatch(be, want, 1, A, B, true, 1)
+	Dispatch(be, C, 1, A, B, true, 6)
 	if d := mat.MaxAbsDiff(C, want); d > tolFor(100) {
 		t.Fatalf("parallel accumulate off by %g", d)
 	}

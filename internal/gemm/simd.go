@@ -5,22 +5,13 @@ import (
 	"fastmm/internal/mat"
 )
 
-// simdKernel is the 6×8 micro-kernel this build/machine selected.
-var simdKernel = pickSIMDKernel()
-
+// The "simd" backend exists only where its AVX2+FMA kernel can run: amd64
+// builds without the `nosimd` tag, on a CPU with AVX2/FMA/OS-YMM support.
+// Everywhere else "portable" is the one pure-Go kernel.
 func init() {
-	Register(newBlocked("simd", avx.Supported, 6, 8, simdKernel))
-}
-
-// pickSIMDKernel selects the 6×8 micro-kernel implementation: the AVX2+FMA
-// assembly when the build and the hardware allow it, the pure-Go rendering
-// of the same tile otherwise (non-amd64, the `nosimd` build tag, or a CPU
-// without AVX2/FMA/OS-YMM support).
-func pickSIMDKernel() microKernelFunc {
 	if avx.Supported {
-		return microKernel6x8asm
+		Register(newBlocked("simd", true, 6, 8, microKernel6x8asm))
 	}
-	return microKernel6x8go
 }
 
 // microKernel6x8asm adapts the packed-panel call onto the assembly kernel:

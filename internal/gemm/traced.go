@@ -15,11 +15,18 @@ import (
 // is a static registry string and the span sink is fixed-capacity, so traced
 // leaves stay inside the engine's zero-allocation budget.
 func TraceLeaf(tr *trace.Spans, be Backend, m, k, n int, d time.Duration) {
+	leafSpan(tr, trace.KindLeaf, be, m, k, n, d)
+}
+
+// leafSpan records one leaf call under the given span kind: KindLeaf for a
+// plain gemm, KindFusedLeaf for a fused one, so trace consumers can tell
+// which leaves ran the scatter-add engine.
+func leafSpan(tr *trace.Spans, kind string, be Backend, m, k, n int, d time.Duration) {
 	if tr == nil {
 		return
 	}
 	tr.Add(trace.Span{
-		Kind:    trace.KindLeaf,
+		Kind:    kind,
 		Backend: be.Name(), //fastmm:allow interface read of the static registry name
 		M:       int32(m),
 		K:       int32(k),
@@ -44,23 +51,6 @@ func DispatchTraced(be Backend, C *mat.Dense, alpha float64, A, B *mat.Dense, ac
 	TraceLeaf(tr, be, A.Rows(), A.Cols(), B.Cols(), time.Since(start))
 }
 
-// TraceFusedLeaf records one fused leaf call — same payload as TraceLeaf but
-// under the fused span kind, so trace consumers can tell which leaves ran the
-// scatter-add engine. Nil-safe and allocation-free like TraceLeaf.
-func TraceFusedLeaf(tr *trace.Spans, be Backend, m, k, n int, d time.Duration) {
-	if tr == nil {
-		return
-	}
-	tr.Add(trace.Span{
-		Kind:    trace.KindFusedLeaf,
-		Backend: be.Name(), //fastmm:allow interface read of the static registry name
-		M:       int32(m),
-		K:       int32(k),
-		N:       int32(n),
-		Nanos:   int64(d),
-	})
-}
-
 // DispatchFusedTraced is DispatchFused with a fused-leaf span recorded into
 // tr when non-nil — the fused analog of DispatchTraced.
 //
@@ -73,5 +63,5 @@ func DispatchFusedTraced(be Backend, dsts []Scaled, alpha float64, asrcs, bsrcs 
 	start := time.Now()
 	DispatchFused(be, dsts, alpha, asrcs, bsrcs, accumulate, workers)
 	m, k := asrcs[0].M.Rows(), asrcs[0].M.Cols()
-	TraceFusedLeaf(tr, be, m, k, bsrcs[0].M.Cols(), time.Since(start))
+	leafSpan(tr, trace.KindFusedLeaf, be, m, k, bsrcs[0].M.Cols(), time.Since(start))
 }
