@@ -1,5 +1,5 @@
-// Tests for the public autotuning surface: fastmm.Auto, NewAutoExecutor,
-// and AutoPlanFor. A synthetic calibration profile keeps them deterministic
+// Tests for the public autotuning surface: fastmm.Do and NewAutoExecutor.
+// A synthetic calibration profile keeps them deterministic
 // and free of machine measurement, and every option set carries
 // NoDiskCache so no test touches the user's real cache (a test exercising
 // the disk layer must t.Setenv(tuner.EnvCacheDir, t.TempDir()) itself).
@@ -57,14 +57,14 @@ func TestAutoMatchesClassical(t *testing.T) {
 		want := fastmm.NewMatrix(m, n)
 		fastmm.Classical(want, A, B)
 		got := fastmm.NewMatrix(m, n)
-		if err := fastmm.Auto(got, A, B, opts); err != nil {
+		if err := fastmm.Do(fastmm.Request{C: got, A: A, B: B}, opts); err != nil {
 			t.Fatal(err)
 		}
 		if d := mat.MaxAbsDiff(got, want); d > 1e-9*float64(k+1) {
 			t.Fatalf("shape %v: max diff %g", shape, d)
 		}
 	}
-	if err := fastmm.Auto(fastmm.NewMatrix(3, 3), fastmm.NewMatrix(3, 4), fastmm.NewMatrix(5, 3), opts); err == nil {
+	if err := fastmm.Do(fastmm.Request{C: fastmm.NewMatrix(3, 3), A: fastmm.NewMatrix(3, 4), B: fastmm.NewMatrix(5, 3)}, opts); err == nil {
 		t.Fatal("dimension mismatch must error")
 	}
 }
@@ -81,14 +81,14 @@ func TestNewAutoExecutorReuse(t *testing.T) {
 	want := fastmm.NewMatrix(n, n)
 	fastmm.Classical(want, A, B)
 	for i := 0; i < 3; i++ { // repeated calls hit the warm LRU path
-		if err := exec.Multiply(C, A, B); err != nil {
+		if err := exec.Do(fastmm.Request{C: C, A: A, B: B}); err != nil {
 			t.Fatal(err)
 		}
 		if d := mat.MaxAbsDiff(C, want); d > 1e-9*n {
 			t.Fatalf("call %d: max diff %g", i, d)
 		}
 	}
-	p, err := exec.PlanFor(n, n, n)
+	p, err := exec.PlanForOp(fastmm.OpMultiply, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,23 +98,26 @@ func TestNewAutoExecutorReuse(t *testing.T) {
 }
 
 func TestAutoPlanFor(t *testing.T) {
-	// Same options → same shared dispatcher → identical plan, no re-tuning.
-	opts := autoTestOpts(1)
-	p1, err := fastmm.AutoPlanFor(512, 512, 512, opts)
+	// A warm dispatcher returns the identical plan, with no re-tuning.
+	exec, err := fastmm.NewAutoExecutor(autoTestOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := fastmm.AutoPlanFor(512, 512, 512, opts)
+	p1, err := exec.PlanForOp(fastmm.OpMultiply, 512, 512, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := exec.PlanForOp(fastmm.OpMultiply, 512, 512, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
-		t.Fatalf("shared dispatcher must return a stable plan: %v vs %v", p1, p2)
+		t.Fatalf("warm dispatcher must return a stable plan: %v vs %v", p1, p2)
 	}
 	if p1.IsClassical() {
 		t.Fatalf("512³ should pick a fast plan under the synthetic profile, got %v", p1)
 	}
-	small, err := fastmm.AutoPlanFor(64, 64, 64, opts)
+	small, err := exec.PlanForOp(fastmm.OpMultiply, 64, 64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

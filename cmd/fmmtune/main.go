@@ -1,5 +1,5 @@
 // Command fmmtune manages the autotuner's persistent state: the machine
-// calibration profile and the shape→plan tuning cache that fastmm.Auto
+// calibration profile and the shape→plan tuning cache that fastmm.Do
 // dispatches from (JSON under os.UserCacheDir()/fastmm, overridable with
 // FASTMM_TUNE_CACHE; "off" disables the disk layer).
 //
@@ -22,6 +22,7 @@ import (
 
 	"fastmm/internal/costmodel"
 	"fastmm/internal/gemm"
+	"fastmm/internal/op"
 	"fastmm/internal/tuner"
 )
 
@@ -130,7 +131,7 @@ func cmdWarm(args []string) error {
 		return err
 	}
 	for _, s := range shapes {
-		plan, err := t.Warm(s[0], s[1], s[2])
+		plan, err := t.PlanForOp(op.Multiply, s[0], s[1], s[2])
 		if err != nil {
 			return err
 		}
@@ -187,10 +188,10 @@ func cmdShow(args []string) error {
 		return nil
 	}
 	// Rank with the persisted profile when there is one — the ranking shown
-	// must be the one fastmm.Auto would actually use — and never write back
+	// must be the one fastmm.Do would actually use — and never write back
 	// (show is read-only). Mirror tuner.New's staleness rule: a profile
 	// calibrated at fewer workers than requested can't predict the parallel
-	// candidates, so Auto would recalibrate rather than use it.
+	// candidates, so Do would recalibrate rather than use it.
 	w := *workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -204,7 +205,7 @@ func cmdShow(args []string) error {
 		return err
 	}
 	for _, s := range shapes {
-		ranked, err := t.Rank(s[0], s[1], s[2])
+		ranked, err := t.RankOp(op.Multiply, s[0], s[1], s[2])
 		if err != nil {
 			return err
 		}

@@ -3,7 +3,7 @@
 // request by shape class, tunes every class once, keeps its executor (and
 // workspace arenas) warm, and runs independent requests concurrently under
 // one worker budget — small requests side by side, large ones full width.
-// The same traffic is then replayed through per-call fastmm.Auto for
+// The same traffic is then replayed through per-call fastmm.Do for
 // comparison, a same-shape burst goes through the pipelined Stream, and a
 // final mixed-load section exercises the server-grade submit path: sparse
 // High-lane interactive requests stay fast against a Low-lane bulk flood,
@@ -122,16 +122,16 @@ func main() {
 		requests, batchSecs, float64(requests)/batchSecs,
 		batcher.WarmEntries(), float64(batcher.WorkspaceRetained())/(1<<20))
 
-	// The same traffic through per-call Auto: every call re-enters the
+	// The same traffic through per-call fastmm.Do: every call re-enters the
 	// shape dispatcher and runs alone at full width.
 	start = time.Now()
 	for _, r := range reqs {
-		if err := fastmm.Auto(r.C, r.A, r.B, fastmm.AutoOptions{Resources: fastmm.Resources{Workers: workers}}); err != nil {
+		if err := fastmm.Do(fastmm.Request{C: r.C, A: r.A, B: r.B}, fastmm.AutoOptions{Resources: fastmm.Resources{Workers: workers}}); err != nil {
 			log.Fatal(err)
 		}
 	}
 	autoSecs := time.Since(start).Seconds()
-	fmt.Printf("per-call Auto: %.2fs (%.1f req/s) -> batcher is %.2fx\n",
+	fmt.Printf("per-call Do: %.2fs (%.1f req/s) -> batcher is %.2fx\n",
 		autoSecs, float64(requests)/autoSecs, autoSecs/batchSecs)
 
 	// A same-shape burst through the pipelined stream: operand staging
@@ -162,7 +162,7 @@ func main() {
 
 	// Mixed load on the server-grade submit path: a Low-lane bulk flood
 	// saturates the workers while sparse High-lane "interactive" requests
-	// must overtake the backlog. Completion callbacks (SubmitFunc) resolve
+	// must overtake the backlog. Completion callbacks (SubmitOpts.Callback) resolve
 	// everything — no tickets held anywhere.
 	const interactive = 12
 	var bulkDone, bulkExpired, bulkRejected atomic.Int64
@@ -185,11 +185,7 @@ func main() {
 			// queue (ErrDeadlineExceeded) before admission has calibrated —
 			// instead of occupying a runner: stale speculative work costs
 			// nothing.
-			opts := fastmm.SubmitOpts{Lane: fastmm.LaneLow}
-			if i%4 == 3 {
-				opts.Deadline = time.Now().Add(2 * time.Millisecond)
-			}
-			err := batcher.SubmitFunc(fastmm.NewMatrix(m, n), bulkA, bulkB, opts, func(err error) {
+			opts := fastmm.SubmitOpts{Lane: fastmm.LaneLow, Callback: func(err error) {
 				switch {
 				case errors.Is(err, fastmm.ErrDeadlineExceeded):
 					bulkExpired.Add(1)
@@ -197,7 +193,11 @@ func main() {
 					bulkDone.Add(1)
 				}
 				<-window
-			})
+			}}
+			if i%4 == 3 {
+				opts.Deadline = time.Now().Add(2 * time.Millisecond)
+			}
+			_, err := batcher.SubmitRequest(fastmm.Request{C: fastmm.NewMatrix(m, n), A: bulkA, B: bulkB}, opts)
 			if errors.Is(err, fastmm.ErrAdmissionDenied) {
 				// Shed at submit: no callback will fire, so release the
 				// window slot here and keep flooding.
@@ -216,7 +216,7 @@ func main() {
 	latencies := make([]float64, 0, interactive)
 	for i := 0; i < interactive; i++ {
 		reqStart := time.Now()
-		tk, err := batcher.SubmitWith(hiC, hiA, hiB, fastmm.SubmitOpts{Lane: fastmm.LaneHigh})
+		tk, err := batcher.SubmitRequest(fastmm.Request{C: hiC, A: hiA, B: hiB}, fastmm.SubmitOpts{Lane: fastmm.LaneHigh})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,7 +35,7 @@
 // strategy for each shape (the paper's Figs. 4–6 show no single choice wins
 // everywhere):
 //
-//	err := fastmm.Auto(C, A, B, fastmm.AutoOptions{})
+//	err := fastmm.Do(fastmm.Request{C: C, A: A, B: B}, fastmm.AutoOptions{})
 //
 // An Executor owns reusable workspace arenas: every matrix temporary of
 // the recursion is carved from them, so steady-state Multiply calls on a
@@ -191,7 +191,7 @@ func NewScheduleExecutor(names []string, opts Options) (*Executor, error) {
 	return core.NewSchedule(algs, opts)
 }
 
-// AutoOptions configures the autotuning dispatcher behind Auto and
+// AutoOptions configures the autotuning dispatcher behind Do and
 // NewAutoExecutor. The zero value is ready to use: GOMAXPROCS workers, no
 // workspace cap, quick auto-calibration on first use, top-4 empirical
 // probing, and the default on-disk tuning cache (JSON under
@@ -221,57 +221,25 @@ type AutoExecutor = tuner.Tuner
 // persisted calibration exists or AutoOptions.Profile supplies one.
 func NewAutoExecutor(opts AutoOptions) (*AutoExecutor, error) { return tuner.New(opts) }
 
-// Auto computes C = A·B with an automatically chosen (algorithm, steps,
-// scheduler, strategy) plan for the operands' shape. Dispatchers are shared
-// process-wide per distinct AutoOptions, so repeated calls with the same
-// options hit the warm path. Each call re-derives the option-set key
-// (microseconds, not a re-tune); the hottest paths should hold their own
-// dispatcher from NewAutoExecutor instead.
-func Auto(C, A, B *Matrix, opts AutoOptions) error {
-	t, err := sharedAuto(opts)
-	if err != nil {
-		return err
-	}
-	return t.Multiply(C, A, B)
-}
-
 // Do executes one operation-typed request — C = Alpha·op(A,B) + Beta·C —
-// with the tuned plan for the request's (op, shape), through the same
-// process-shared dispatchers as Auto. Auto, MultiplyATA, and Syrk are thin
-// wrappers over this.
+// with an automatically chosen (algorithm, steps, scheduler, strategy) plan
+// for the request's (op, shape). Do(Request{C: C, A: A, B: B}, opts) is the
+// tuned C = A·B (OpMultiply is the zero Op). OpATA and OpSyrk run a
+// symmetric recursion that serves the diagonal blocks recursively, computes
+// each lower off-diagonal block once with the tuned fast multiply, and
+// mirrors it: ~2/3 of a general multiply's work, with an exactly symmetric
+// result (C.At(i,j) == C.At(j,i) bit-for-bit).
+//
+// Dispatchers are shared process-wide per distinct AutoOptions, so repeated
+// calls with the same options hit the warm path. Each call re-derives the
+// option-set key (microseconds, not a re-tune); the hottest paths should
+// hold their own dispatcher from NewAutoExecutor instead.
 func Do(req Request, opts AutoOptions) error {
 	t, err := sharedAuto(opts)
 	if err != nil {
 		return err
 	}
 	return t.Do(req)
-}
-
-// MultiplyATA computes C = Aᵗ·A (C must be n×n for A m×n, and must not alias
-// A) with the tuned plan for the shape: a symmetric recursion that serves
-// the diagonal blocks recursively, computes each lower off-diagonal block
-// once with the tuned fast multiply, and mirrors it — ~2/3 of the work of
-// Multiply(C, Aᵗ, A), with an exactly symmetric result
-// (C.At(i,j) == C.At(j,i) bit-for-bit).
-func MultiplyATA(C, A *Matrix, opts AutoOptions) error {
-	return Do(Request{Op: OpATA, C: C, A: A}, opts)
-}
-
-// Syrk computes the symmetric rank-k update C = A·Aᵗ (C must be m×m for A
-// m×n, and must not alias A), with the same planning and exact-symmetry
-// guarantees as MultiplyATA.
-func Syrk(C, A *Matrix, opts AutoOptions) error {
-	return Do(Request{Op: OpSyrk, C: C, A: A}, opts)
-}
-
-// AutoPlanFor reports the plan Auto would use for a shape (tuning it on
-// first touch), without multiplying.
-func AutoPlanFor(m, k, n int, opts AutoOptions) (AutoPlan, error) {
-	t, err := sharedAuto(opts)
-	if err != nil {
-		return AutoPlan{}, err
-	}
-	return t.PlanFor(m, k, n)
 }
 
 var (
@@ -301,7 +269,7 @@ func sharedAuto(opts AutoOptions) (*AutoExecutor, error) {
 }
 
 // autoOptionsKey renders a normalized AutoOptions as a map key: two option
-// sets that behave identically render identically. Shared by the Auto
+// sets that behave identically render identically. Shared by the Do
 // dispatcher map and the shared-batcher map.
 func autoOptionsKey(norm AutoOptions) string {
 	return fmt.Sprintf("%s min%d s%d k%d t%d pb%d cse%t alg%s st%v disk%t prof%s",
@@ -319,15 +287,15 @@ func autoOptionsKey(norm AutoOptions) string {
 type BatchOptions = batch.Options
 
 // Batcher dispatches many multiplications through warm per-shape-class
-// executors: work is keyed by the tuner's shape-class bucketing, each class
-// is tuned once (first touch) and then served by a retained executor whose
-// workspace arenas stay warm, and independent multiplications run
-// concurrently under one total Workers budget — a deep queue of small
-// problems runs many sequential multiplies side by side, while a lone large
-// problem uses the full-width parallel schedule. The asynchronous submit
-// path is server-grade: SubmitWith takes priority lanes (High/Normal/Low),
-// per-item deadlines (fail-fast with ErrDeadlineExceeded), and completion
-// callbacks (SubmitFunc) so servers avoid ticket bookkeeping — hardened with
+// executors: work is keyed by the tuner's shape-class bucketing, each class is
+// tuned once (first touch) and then served by a retained executor whose
+// workspace arenas stay warm, and independent multiplications run concurrently
+// under one total Workers budget — a deep queue of small problems runs many
+// sequential multiplies side by side, while a lone large problem uses the
+// full-width parallel schedule. The asynchronous submit path is server-grade:
+// SubmitRequest takes priority lanes (High/Normal/Low), per-item deadlines
+// (fail-fast with ErrDeadlineExceeded), and completion callbacks
+// (SubmitOpts.Callback) so servers avoid ticket bookkeeping — hardened with
 // deadline-aware admission control (ErrAdmissionDenied sheds guaranteed-dead
 // work at submit), a lane-aging window that bounds Low-lane starvation
 // (BatchOptions.AgingWindow), and an allocation-free metrics surface
@@ -338,8 +306,8 @@ type Batcher = batch.Batcher
 // multiplication resolved (ran, failed, or expired) and returns its error.
 type BatchTicket = batch.Ticket
 
-// SubmitOpts carries the per-item scheduling options of Batcher.SubmitWith
-// and Batcher.SubmitFunc: a priority lane, an optional deadline, and an
+// SubmitOpts carries the per-item scheduling options of
+// Batcher.SubmitRequest: a priority lane, an optional deadline, and an
 // optional completion callback. The zero value reproduces plain Submit.
 type SubmitOpts = batch.SubmitOpts
 
@@ -363,7 +331,7 @@ var ErrDeadlineExceeded = batch.ErrDeadlineExceeded
 // ErrBatcherClosed is returned by Batcher submissions after Close.
 var ErrBatcherClosed = batch.ErrClosed
 
-// ErrAdmissionDenied is returned by SubmitWith/SubmitFunc when the queued
+// ErrAdmissionDenied is returned by SubmitRequest when the queued
 // backlog ahead of a deadline'd item already guarantees its deadline will
 // pass before it could start (judged by calibrated per-shape-class service
 // times refined by a live EWMA). A rejected item never enters the queue and
@@ -539,8 +507,8 @@ func EffectiveGFLOPS(p, q, r int, seconds float64) float64 {
 	return (2*float64(p)*float64(q)*float64(r) - float64(p)*float64(r)) / seconds * 1e-9
 }
 
-// Verify checks that an algorithm is an exact (or, for APA algorithms,
-// O(λ)-accurate) decomposition of its base-case tensor.
+// Verify checks that an algorithm is an exact decomposition of its
+// base-case tensor (to least-squares precision for numerically found ones).
 func Verify(a *Algorithm) error {
 	if a == nil {
 		return fmt.Errorf("fastmm: nil algorithm")

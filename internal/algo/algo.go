@@ -37,13 +37,6 @@ type Algorithm struct {
 	U    *mat.Dense
 	V    *mat.Dense
 	W    *mat.Dense
-	// APA marks arbitrary-precision approximate algorithms (§2.2.3):
-	// their factor entries depend on a parameter λ and the decomposition
-	// only holds in the limit λ→0. Verification uses ApproxTol instead of
-	// demanding exactness.
-	APA bool
-	// Lambda is the λ value the factors were instantiated with (APA only).
-	Lambda float64
 	// Numeric marks algorithms whose coefficients come straight from the
 	// numerical search (§2.3.2) without full discretization: they are
 	// exact only to least-squares precision (~1e-10), so verification and
@@ -130,23 +123,18 @@ func colNNZ(m *mat.Dense, c int) int {
 }
 
 // ApproxTol is the reconstruction tolerance granted during verification:
-// exact algorithms must reconstruct to fp roundoff; numeric (search-output)
-// ones to least-squares precision; APA ones to O(λ) at their instantiated λ.
+// exact algorithms must reconstruct to fp roundoff, numeric (search-output)
+// ones to least-squares precision.
 func (a *Algorithm) ApproxTol() float64 {
-	switch {
-	case a.APA:
-		return 64 * a.Lambda
-	case a.Numeric:
+	if a.Numeric {
 		return 1e-8
-	default:
-		return 1e-9
 	}
+	return 1e-9
 }
 
-// Verify checks that JU,V,WK reconstructs the ⟨M,K,N⟩ tensor. Exact
-// algorithms must match to within floating-point roundoff of the (small
-// integer or rational) coefficients; APA algorithms must match to within
-// O(λ).
+// Verify checks that JU,V,WK reconstructs the ⟨M,K,N⟩ tensor to within
+// ApproxTol: floating-point roundoff of the (small integer or rational)
+// coefficients, or least-squares precision for numeric ones.
 func (a *Algorithm) Verify() error {
 	if err := a.checkShape(); err != nil {
 		return err
@@ -183,7 +171,7 @@ func (a *Algorithm) checkShape() error {
 
 // Clone returns a deep copy of a.
 func (a *Algorithm) Clone() *Algorithm {
-	return &Algorithm{Name: a.Name, Base: a.Base, U: a.U.Clone(), V: a.V.Clone(), W: a.W.Clone(), APA: a.APA, Lambda: a.Lambda, Numeric: a.Numeric}
+	return &Algorithm{Name: a.Name, Base: a.Base, U: a.U.Clone(), V: a.V.Clone(), W: a.W.Clone(), Numeric: a.Numeric}
 }
 
 // Classical returns the trivial rank-MKN decomposition: one multiplication
@@ -244,8 +232,6 @@ func Transpose(a *Algorithm) *Algorithm {
 		U:       mulPerm(vecPerm(b.K, b.N), a.V),
 		V:       mulPerm(vecPerm(b.M, b.K), a.U),
 		W:       mulPerm(vecPerm(b.M, b.N), a.W),
-		APA:     a.APA,
-		Lambda:  a.Lambda,
 		Numeric: a.Numeric,
 	}
 }
@@ -261,8 +247,6 @@ func Rotate(a *Algorithm) *Algorithm {
 		U:       mulPerm(vecPerm(b.M, b.N), a.W),
 		V:       a.U.Clone(),
 		W:       mulPerm(vecPerm(b.K, b.N), a.V),
-		APA:     a.APA,
-		Lambda:  a.Lambda,
 		Numeric: a.Numeric,
 	}
 }

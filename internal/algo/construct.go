@@ -89,15 +89,7 @@ func Compose(a1, a2 *Algorithm, name string) *Algorithm {
 	}
 
 	return &Algorithm{Name: name, Base: base, U: U, V: V, W: W,
-		APA: a1.APA || a2.APA, Lambda: maxf(a1.Lambda, a2.Lambda),
 		Numeric: a1.Numeric || a2.Numeric}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // SplitN concatenates algorithms for ⟨M,K,N1⟩ and ⟨M,K,N2⟩ into one for
@@ -156,7 +148,6 @@ func SplitN(a1, a2 *Algorithm, name string) (*Algorithm, error) {
 		}
 	}
 	return &Algorithm{Name: name, Base: BaseCase{m, k, n}, U: U, V: V, W: W,
-		APA: a1.APA || a2.APA, Lambda: maxf(a1.Lambda, a2.Lambda),
 		Numeric: a1.Numeric || a2.Numeric}, nil
 }
 
@@ -232,6 +223,5 @@ func SplitK(a1, a2 *Algorithm, name string) (*Algorithm, error) {
 		}
 	}
 	return &Algorithm{Name: name, Base: BaseCase{m, k, n}, U: U, V: V, W: W,
-		APA: a1.APA || a2.APA, Lambda: maxf(a1.Lambda, a2.Lambda),
 		Numeric: a1.Numeric || a2.Numeric}, nil
 }

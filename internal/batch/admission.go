@@ -16,8 +16,8 @@ import (
 // already guaranteed to pass before a runner could reach it: the queued
 // backlog in its own and higher-priority lanes, valued at the calibrated
 // per-shape-class service times, exceeds the time remaining even if every
-// runner drained that backlog in parallel. The item is refused at SubmitWith
-// — no Ticket, no queue slot, no callback — so a saturated server sheds
+// runner drained that backlog in parallel. The item is refused at
+// SubmitRequest — no Ticket, no queue slot, no callback — so a saturated server sheds
 // guaranteed-dead work at the door instead of carrying it to expiry.
 var ErrAdmissionDenied = errors.New("batch: admission denied: deadline cannot be met")
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fastmm/internal/mat"
+	"fastmm/internal/op"
 )
 
 func stampedTask(fc *fakeClock, l Lane) *task {
@@ -153,14 +154,14 @@ func TestLaneAgingBoundsStarvationEndToEnd(t *testing.T) {
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	submit := func(label string, lane Lane) {
 		t.Helper()
-		err := b.SubmitFunc(mat.New(n, n), A, B, SubmitOpts{Lane: lane}, func(err error) {
+		_, err := b.SubmitRequest(op.Request{C: mat.New(n, n), A: A, B: B}, SubmitOpts{Lane: lane, Callback: func(err error) {
 			if err != nil {
 				t.Errorf("item %s: %v", label, err)
 			}
 			mu.Lock()
 			order = append(order, label)
 			mu.Unlock()
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

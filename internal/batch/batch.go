@@ -1,7 +1,7 @@
 // Package batch is the batched/streaming dispatch layer: it amortizes one
 // tuning decision — and one warm executor with its retained workspace arenas
 // — over streams of multiplications, the serving regime the tuner alone
-// cannot exploit. Where fastmm.Auto pays dispatch, workspace warm-up, and
+// cannot exploit. Where fastmm.Do pays dispatch, workspace warm-up, and
 // intra-multiply synchronization per call, a Batcher keys incoming work by
 // shape class (tuner.ClassOf's geometric bucketing), keeps a bounded pool of
 // warm per-class entries with LRU eviction under a byte budget, and runs
@@ -47,7 +47,7 @@ import (
 	"fastmm/internal/tuner"
 )
 
-// ErrClosed is returned by Submit and Multiply after Close.
+// ErrClosed is returned by Do and the Submit calls after Close.
 var ErrClosed = errors.New("batch: batcher is closed")
 
 // DefaultGrainFLOPs is the per-worker work grain below which a multiply
@@ -226,8 +226,8 @@ func (t *task) expired(now time.Time) bool {
 }
 
 // Batcher dispatches multiplications through a pool of warm per-shape-class
-// executors. It is safe for concurrent use. Multiply is synchronous; Submit
-// and SubmitWith enqueue work for the batcher's runner pool. Close waits for
+// executors. It is safe for concurrent use. Do is synchronous; Submit and
+// SubmitRequest enqueue work for the batcher's runner pool. Close waits for
 // outstanding work (asynchronous and synchronous) and stops the runners.
 type Batcher struct {
 	opts  Options
@@ -338,22 +338,13 @@ func (b *Batcher) tunerFor(w int) (*tuner.Tuner, error) {
 	return tn, nil
 }
 
-// Multiply computes C = A·B synchronously through the warm entry for the
-// operands' shape class, tuning the class on first touch. Concurrent callers
-// share the Workers budget: each call's internal width shrinks as more
-// multiplications are executing. The call registers in the batcher's
-// outstanding accounting, so Close (and Wait) never return while it is still
-// running; its error is returned here, not folded into Wait's.
-func (b *Batcher) Multiply(C, A, B *mat.Dense) error {
-	if err := checkDims(C, A, B); err != nil {
-		return err
-	}
-	return b.doSync(op.Request{Op: op.Multiply, C: C, A: A, B: B})
-}
-
 // Do executes one operation-typed request — C = Alpha·op(A,B) + Beta·C —
 // synchronously through the warm entry for the request's (op, shape class),
-// with the same budget sharing and lifecycle accounting as Multiply.
+// tuning the class on first touch. Concurrent callers share the Workers
+// budget: each call's internal width shrinks as more multiplications are
+// executing. The call registers in the batcher's outstanding accounting, so
+// Close (and Wait) never return while it is still running; its error is
+// returned here, not folded into Wait's.
 func (b *Batcher) Do(req op.Request) error {
 	req = req.Normalized()
 	if err := req.Validate(); err != nil {
@@ -460,38 +451,27 @@ func (b *Batcher) beginSync() error {
 }
 
 // Submit enqueues C = A·B on the Normal lane and returns a Ticket; it is
-// SubmitWith with zero SubmitOpts. Dimension errors surface immediately;
-// execution errors on the Ticket (and, aggregated, from Wait). C, A, and B
-// must stay untouched until the Ticket resolves. A full queue makes Submit
-// block.
+// SubmitRequest with a multiply request and zero SubmitOpts.
 func (b *Batcher) Submit(C, A, B *mat.Dense) (*Ticket, error) {
-	return b.SubmitWith(C, A, B, SubmitOpts{})
+	return b.SubmitRequest(op.Request{C: C, A: A, B: B}, SubmitOpts{})
 }
 
-// SubmitWith enqueues C = A·B with per-item scheduling options: a priority
-// lane, an optional deadline (items not yet executing when it passes fail
-// fast with ErrDeadlineExceeded, on the Ticket and Callback only — Wait does
-// not aggregate expiries), and an optional completion callback. Dimension
-// and lane errors surface immediately and the item is never queued; a full
-// queue makes SubmitWith block (backpressure, lanes share one QueueDepth).
+// SubmitRequest enqueues one operation-typed request with per-item
+// scheduling options: a priority lane, an optional deadline (items not yet
+// executing when it passes fail fast with ErrDeadlineExceeded, on the Ticket
+// and Callback only — Wait does not aggregate expiries), and an optional
+// completion callback. Dimension and lane errors surface immediately and the
+// item is never queued; execution errors go to the Ticket, the Callback, and
+// (aggregated) Wait. A full queue makes SubmitRequest block (backpressure,
+// lanes share one QueueDepth). The request's operands must stay untouched
+// until the Ticket resolves.
 //
 // A future deadline is additionally screened by admission control: when the
 // queued backlog ahead of the item (at calibrated per-class service-time
 // estimates) already guarantees the deadline expires before a runner could
-// reach it, SubmitWith rejects immediately with ErrAdmissionDenied — no
+// reach it, SubmitRequest rejects immediately with ErrAdmissionDenied — no
 // Ticket, no queue slot, no callback — so saturated servers shed dead work
 // at the door instead of carrying it to expiry.
-func (b *Batcher) SubmitWith(C, A, B *mat.Dense, opts SubmitOpts) (*Ticket, error) {
-	if err := checkDims(C, A, B); err != nil {
-		return nil, err
-	}
-	return b.submit(op.Request{Op: op.Multiply, C: C, A: A, B: B}, opts)
-}
-
-// SubmitRequest enqueues one operation-typed request with per-item
-// scheduling options — the Request-API form of SubmitWith, with identical
-// lane, deadline, admission, callback, and lifecycle semantics. The
-// request's operands must stay untouched until the Ticket resolves.
 func (b *Batcher) SubmitRequest(req op.Request, opts SubmitOpts) (*Ticket, error) {
 	req = req.Normalized()
 	if err := req.Validate(); err != nil {
@@ -562,20 +542,6 @@ func (b *Batcher) submit(req op.Request, opts SubmitOpts) (*Ticket, error) {
 	return &tk.ticket, nil
 }
 
-// SubmitFunc enqueues C = A·B and invokes fn exactly once with the item's
-// error when it resolves — the callback form servers use to complete
-// requests without holding tickets. fn takes the place of opts.Callback; it
-// runs on the runner goroutine, so it should hand off rather than block.
-// The returned error covers submission only (dimensions, lane, ErrClosed);
-// execution errors go to fn.
-func (b *Batcher) SubmitFunc(C, A, B *mat.Dense, opts SubmitOpts, fn func(error)) error {
-	if fn != nil {
-		opts.Callback = fn
-	}
-	_, err := b.SubmitWith(C, A, B, opts)
-	return err
-}
-
 // MultiplyAll computes dsts[i] = as[i]·bs[i] for every i, running independent
 // items concurrently under the Workers budget, and returns the first error.
 func (b *Batcher) MultiplyAll(dsts, as, bs []*mat.Dense) error {
@@ -625,7 +591,7 @@ func (b *Batcher) Wait() error {
 }
 
 // Close waits for outstanding work, stops the runner pool, and marks the
-// batcher closed (further Multiply/Submit calls fail with ErrClosed). It
+// batcher closed (further Do/Submit calls fail with ErrClosed). It
 // returns Wait's error. Close is idempotent, and every caller — including
 // concurrent ones racing the first — blocks until the drain has completed
 // and observes the same error, so the lifecycle guarantee holds for each of
@@ -675,16 +641,11 @@ func (b *Batcher) QueueDepth() int {
 	return q.depth()
 }
 
-// PlanFor reports the plan the batcher would run an ⟨m,k,n⟩ multiply with
-// when nothing else is in flight, warming its class entry on first touch.
-// Like every entry-building path it registers in the outstanding accounting,
-// so it cannot tune and install retained state after Close returned.
-func (b *Batcher) PlanFor(m, k, n int) (tuner.Plan, error) {
-	return b.PlanForOp(op.Multiply, m, k, n)
-}
-
-// PlanForOp is PlanFor for an operation-typed workload; (m,k,n) is the op's
-// gemm-equivalent product triple (op.Op.Shape).
+// PlanForOp reports the plan the batcher would run an (op, shape) with when
+// nothing else is in flight, warming its class entry on first touch; (m,k,n)
+// is the op's gemm-equivalent product triple (op.Op.Shape). Like every
+// entry-building path it registers in the outstanding accounting, so it
+// cannot tune and install retained state after Close returned.
 func (b *Batcher) PlanForOp(o op.Op, m, k, n int) (tuner.Plan, error) {
 	if m <= 0 || k <= 0 || n <= 0 {
 		return tuner.Plan{}, fmt.Errorf("batch: invalid shape %d×%d×%d", m, k, n)
@@ -1046,7 +1007,7 @@ func (b *Batcher) touch(e *warmEntry) {
 
 // evictLocked sheds least-recently-used entries while the pool exceeds the
 // entry-count bound or the byte budget, always keeping the most recent one.
-// The underlying tuner is told to Forget the class so the executor and its
+// The underlying tuner is told to ForgetOp the class so the executor and its
 // arenas are collectable once in-flight holders finish. Callers hold b.mu.
 func (b *Batcher) evictLocked() {
 	for b.lru.Len() > 1 &&
@@ -1065,14 +1026,6 @@ func (b *Batcher) evictLocked() {
 		}
 		b.tunersMu.Unlock()
 	}
-}
-
-func checkDims(C, A, B *mat.Dense) error {
-	if A.Cols() != B.Rows() || C.Rows() != A.Rows() || C.Cols() != B.Cols() {
-		return fmt.Errorf("batch: dimension mismatch C %d×%d = A %d×%d · B %d×%d",
-			C.Rows(), C.Cols(), A.Rows(), A.Cols(), B.Rows(), B.Cols())
-	}
-	return nil
 }
 
 func floorPow2(v int) int {

@@ -128,7 +128,7 @@ func TestSameClassSharesWarmEntry(t *testing.T) {
 		}
 		A, B := randMat(m, k, int64(i)), randMat(k, n, int64(i+100))
 		C := mat.New(m, n)
-		if err := b.Multiply(C, A, B); err != nil {
+		if err := b.Do(op.Request{C: C, A: A, B: B}); err != nil {
 			t.Fatal(err)
 		}
 		checkProduct(t, C, A, B)
@@ -149,7 +149,7 @@ func TestMaxEntriesEviction(t *testing.T) {
 	for _, n := range []int{64, 96, 128, 160} { // four distinct classes
 		A, B := randMat(n, n, int64(n)), randMat(n, n, int64(n+1))
 		C := mat.New(n, n)
-		if err := b.Multiply(C, A, B); err != nil {
+		if err := b.Do(op.Request{C: C, A: A, B: B}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func TestWorkspaceBudgetEviction(t *testing.T) {
 	for _, n := range classes {
 		A, B := randMat(n, n, int64(n)), randMat(n, n, int64(n+1))
 		C := mat.New(n, n)
-		if err := b.Multiply(C, A, B); err != nil {
+		if err := b.Do(op.Request{C: C, A: A, B: B}); err != nil {
 			t.Fatal(err)
 		}
 		checkProduct(t, C, A, B)
@@ -178,7 +178,7 @@ func TestWorkspaceBudgetEviction(t *testing.T) {
 	// The synthetic profile makes fast plans win at these sizes, so at least
 	// one touched entry retained arena bytes and the 1-byte budget must have
 	// evicted down to the most recent entry.
-	p, err := b.PlanFor(256, 256, 256)
+	p, err := b.PlanForOp(op.Multiply, 256, 256, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestSubmitWait(t *testing.T) {
 	if _, err := b.Submit(mat.New(4, 4), mat.New(4, 4), mat.New(4, 4)); err != ErrClosed {
 		t.Fatalf("Submit after Close: got %v, want ErrClosed", err)
 	}
-	if err := b.Multiply(mat.New(4, 4), mat.New(4, 4), mat.New(4, 4)); err != ErrClosed {
+	if err := b.Do(op.Request{C: mat.New(4, 4), A: mat.New(4, 4), B: mat.New(4, 4)}); err != ErrClosed {
 		t.Fatalf("Multiply after Close: got %v, want ErrClosed", err)
 	}
 	if err := b.Close(); err != nil {
@@ -397,13 +397,13 @@ func TestPlanForInvalid(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if _, err := b.PlanFor(0, 5, 5); err == nil {
+	if _, err := b.PlanForOp(op.Multiply, 0, 5, 5); err == nil {
 		t.Fatal("invalid shape must fail")
 	}
 	if _, err := b.Stream(5, -1, 5); err == nil {
 		t.Fatal("invalid stream shape must fail")
 	}
-	p, err := b.PlanFor(96, 96, 96)
+	p, err := b.PlanForOp(op.Multiply, 96, 96, 96)
 	if err != nil {
 		t.Fatal(err)
 	}

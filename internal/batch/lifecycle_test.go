@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fastmm/internal/mat"
+	"fastmm/internal/op"
 	"fastmm/internal/tuner"
 )
 
@@ -60,7 +61,7 @@ func TestStreamReresolvesEvictedEntry(t *testing.T) {
 
 	// Another class pushes the stream's entry out of the 1-entry pool.
 	A2, B2 := randMat(160, 160, 3), randMat(160, 160, 4)
-	if err := b.Multiply(mat.New(160, 160), A2, B2); err != nil {
+	if err := b.Do(op.Request{C: mat.New(160, 160), A: A2, B: B2}); err != nil {
 		t.Fatal(err)
 	}
 	if b.hasEntry(key) {
@@ -95,7 +96,7 @@ func TestStreamEvictionByteBudget(t *testing.T) {
 	defer b.Close()
 
 	const m, k, n = 256, 256, 256
-	p, err := b.PlanFor(m, k, n)
+	p, err := b.PlanForOp(op.Multiply, m, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestStreamEvictionByteBudget(t *testing.T) {
 	// A second fast-plan class exceeds the 1-byte budget and evicts the
 	// stream's entry.
 	A2, B2 := randMat(320, 320, 7), randMat(320, 320, 8)
-	if err := b.Multiply(mat.New(320, 320), A2, B2); err != nil {
+	if err := b.Do(op.Request{C: mat.New(320, 320), A: A2, B: B2}); err != nil {
 		t.Fatal(err)
 	}
 	if b.hasEntry(key) {

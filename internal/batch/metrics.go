@@ -144,7 +144,7 @@ type laneCounters struct {
 // metrics is the batcher's preallocated counter block.
 type metrics struct {
 	lanes      [numLanes]laneCounters
-	syncDone   atomic.Int64 // synchronous Multiply executions
+	syncDone   atomic.Int64 // synchronous Do executions
 	streamDone atomic.Int64 // Stream.Push executions (pipelined or not)
 	warmHits   atomic.Int64
 	warmMisses atomic.Int64
@@ -214,7 +214,7 @@ func (m *metrics) recordExec(backend string, o op.Op, mdim, kdim, ndim int, d ti
 type LaneStats struct {
 	Lane      Lane
 	Queued    int64 // items currently sitting in this lane's queue
-	Submitted int64 // accepted by SubmitWith (including later-expired/rejected)
+	Submitted int64 // accepted by SubmitRequest (including later-expired/rejected)
 	Done      int64 // executed (Failed of them returned an error)
 	Failed    int64
 	Expired   int64 // resolved with ErrDeadlineExceeded, never executed
@@ -235,7 +235,7 @@ type Stats struct {
 	// multiplications currently running (all paths — async, sync, stream).
 	QueueDepth int
 	Executing  int64
-	// SyncDone / StreamDone count executions of the synchronous Multiply
+	// SyncDone / StreamDone count executions of the synchronous Do
 	// path and the Stream.Push path, which carry no lane accounting.
 	SyncDone   int64
 	StreamDone int64

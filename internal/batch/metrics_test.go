@@ -171,11 +171,11 @@ func TestStatsSnapshotCounts(t *testing.T) {
 
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	// Executed: one High item (runs when the harness cleanup releases).
-	if _, err := b.SubmitWith(mat.New(n, n), A, B, SubmitOpts{Lane: LaneHigh}); err != nil {
+	if _, err := b.SubmitRequest(op.Request{C: mat.New(n, n), A: A, B: B}, SubmitOpts{Lane: LaneHigh}); err != nil {
 		t.Fatal(err)
 	}
 	// Expired at submit: one Low item with a past deadline.
-	tkExp, err := b.SubmitWith(mat.New(n, n), A, B, SubmitOpts{
+	tkExp, err := b.SubmitRequest(op.Request{C: mat.New(n, n), A: A, B: B}, SubmitOpts{
 		Lane: LaneLow, Deadline: fc.Now().Add(-time.Minute)})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestStatsSnapshotCounts(t *testing.T) {
 	// Rejected: saturate the Normal backlog, then submit a doomed deadline.
 	h.setEstimate(n, n, n, 3600)
 	h.fill(t, LaneNormal, 2, n)
-	_, err = b.SubmitWith(mat.New(n, n), A, B, SubmitOpts{
+	_, err = b.SubmitRequest(op.Request{C: mat.New(n, n), A: A, B: B}, SubmitOpts{
 		Lane: LaneNormal, Deadline: fc.Now().Add(time.Second)})
 	if !errors.Is(err, ErrAdmissionDenied) {
 		t.Fatalf("saturated submit err = %v, want ErrAdmissionDenied", err)
@@ -251,7 +251,7 @@ func TestStatsSyncAndStreamCounters(t *testing.T) {
 	const n = 64
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	C := mat.New(n, n)
-	if err := b.Multiply(C, A, B); err != nil {
+	if err := b.Do(op.Request{C: C, A: A, B: B}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := b.Stream(n, n, n)
@@ -312,12 +312,12 @@ func TestLaneConservationInvariantHammer(t *testing.T) {
 				C := mat.New(n, n)
 				switch rng.Intn(5) {
 				case 0: // synchronous — no lane accounting
-					if err := b.Multiply(C, A, B); err != nil {
+					if err := b.Do(op.Request{C: C, A: A, B: B}); err != nil {
 						t.Errorf("multiply: %v", err)
 					}
 				case 1: // already expired at submit
 					lane := lanes[rng.Intn(len(lanes))]
-					_, err := b.SubmitWith(C, A, B, SubmitOpts{
+					_, err := b.SubmitRequest(op.Request{C: C, A: A, B: B}, SubmitOpts{
 						Lane: lane, Deadline: time.Now().Add(-time.Hour)})
 					if err != nil {
 						t.Errorf("expired submit: %v", err)
@@ -326,7 +326,7 @@ func TestLaneConservationInvariantHammer(t *testing.T) {
 					local[lane]++
 				case 2: // far-future deadline — admission may reject under backlog
 					lane := lanes[rng.Intn(len(lanes))]
-					_, err := b.SubmitWith(C, A, B, SubmitOpts{
+					_, err := b.SubmitRequest(op.Request{C: C, A: A, B: B}, SubmitOpts{
 						Lane: lane, Deadline: time.Now().Add(time.Hour)})
 					if err != nil && !errors.Is(err, ErrAdmissionDenied) {
 						t.Errorf("deadline submit: %v", err)
@@ -335,7 +335,7 @@ func TestLaneConservationInvariantHammer(t *testing.T) {
 					local[lane]++ // rejected items still count as submitted
 				default:
 					lane := lanes[rng.Intn(len(lanes))]
-					if _, err := b.SubmitWith(C, A, B, SubmitOpts{Lane: lane}); err != nil {
+					if _, err := b.SubmitRequest(op.Request{C: C, A: A, B: B}, SubmitOpts{Lane: lane}); err != nil {
 						t.Errorf("submit: %v", err)
 						continue
 					}

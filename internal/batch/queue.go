@@ -52,8 +52,8 @@ func (l Lane) String() string {
 
 func (l Lane) valid() bool { return l >= 0 && l < numLanes }
 
-// SubmitOpts carries the per-item scheduling options of SubmitWith and
-// SubmitFunc. The zero value reproduces plain Submit: Normal lane, no
+// SubmitOpts carries the per-item scheduling options of SubmitRequest.
+// The zero value reproduces plain Submit: Normal lane, no
 // deadline, no callback.
 type SubmitOpts struct {
 	// Lane is the priority lane the item queues on.

@@ -20,7 +20,7 @@ import (
 //
 // A Stream is a single-goroutine object: Push and Flush must not be called
 // concurrently (use several Streams, or the Batcher's Submit, for that).
-// With Options.NoPipeline set, Push degrades to a synchronous Multiply
+// With Options.NoPipeline set, Push degrades to a synchronous run
 // through the same warm entry and no staging copies are made.
 type Stream struct {
 	b       *Batcher

@@ -7,11 +7,12 @@ import (
 	"fastmm/internal/addchain"
 	"fastmm/internal/catalog"
 	"fastmm/internal/core"
+	"fastmm/internal/op"
 	"fastmm/internal/tuner"
 )
 
 func init() {
-	registerExperiment("auto", "autotuner: fastmm.Auto vs best/worst fixed (algorithm, steps, scheduler) per shape family", runAuto)
+	registerExperiment("auto", "autotuner: tuned fastmm.Do vs best/worst fixed (algorithm, steps, scheduler) per shape family", runAuto)
 }
 
 // runAuto evaluates the autotuning dispatcher the way the paper evaluates
@@ -19,9 +20,9 @@ func init() {
 // each shape family (square, outer-product ⟨n,k,n⟩ with k≪n, and panel
 // ⟨n,n,k⟩ with k≪n). A dispatcher that tracks the best fixed choice across
 // all three families demonstrates the claim of Figs. 4–6 — no single fixed
-// choice does. The warm-dispatch overhead (the cost of Auto's shape lookup
+// choice does. The warm-dispatch overhead (the cost of the tuner's shape lookup
 // on a tuned shape) is reported too; it must stay in single-digit
-// microseconds for Auto to be a drop-in replacement.
+// microseconds for tuned dispatch to be a drop-in replacement.
 func runAuto(cfg Config) ([]Point, error) {
 	w := cfg.Out
 	workers := cfg.Workers
@@ -113,13 +114,13 @@ func runAuto(cfg Config) ([]Point, error) {
 			// final multiplication, so tuneSecs is pure tuning overhead;
 			// the steady-state number is the warm, cache-hit path.
 			tuneStart := time.Now()
-			plan, err := tn.PlanFor(p, q, r)
+			plan, err := tn.PlanForOp(op.Multiply, p, q, r)
 			if err != nil {
 				return nil, err
 			}
 			tuneSecs := time.Since(tuneStart).Seconds()
 			autoSecs := medianTime(cfg.Trials, func() {
-				if err := tn.Multiply(C, A, B); err != nil {
+				if err := tn.Do(op.Request{C: C, A: A, B: B}); err != nil {
 					panic(err)
 				}
 			})
@@ -127,7 +128,7 @@ func runAuto(cfg Config) ([]Point, error) {
 			const dispatchCalls = 1000
 			dispatchStart := time.Now()
 			for i := 0; i < dispatchCalls; i++ {
-				if _, err := tn.PlanFor(p, q, r); err != nil {
+				if _, err := tn.PlanForOp(op.Multiply, p, q, r); err != nil {
 					return nil, err
 				}
 			}

@@ -13,24 +13,25 @@ import (
 	"fastmm/internal/catalog"
 	"fastmm/internal/core"
 	"fastmm/internal/mat"
+	"fastmm/internal/op"
 	"fastmm/internal/tuner"
 )
 
 func init() {
-	registerExperiment("batch", "batched dispatch: warm Batcher vs per-call Auto vs per-call Multiply across batch sizes and shape families, plus the priority-lane/deadline/width-policy scenario", runBatch)
+	registerExperiment("batch", "batched dispatch: warm Batcher vs per-call tuned Do vs per-call Multiply across batch sizes and shape families, plus the priority-lane/deadline/width-policy scenario", runBatch)
 }
 
 // runBatch measures what the batched dispatcher buys in the serving regime:
 // streams of independent same-class multiplications. Three dispatch styles
 // multiply identical work — a warm Batcher (one tuning decision and one warm
 // executor per shape class, inter-multiply parallelism under one Workers
-// budget), per-call Auto (warm tuner dispatch but full-width execution and
+// budget), per-call tuned Do (warm tuner dispatch but full-width execution and
 // per-call synchronization), and per-call Multiply (executor built and
 // verified per call, the naive API user) — across batch sizes × the paper's
 // three shape families. The batcher's steady-state allocations per item ride
 // along in the points (exact, unlike shared-runner timings). A final
 // headline row reproduces the acceptance target: a same-shape batch of 64 at
-// the largest square size, batcher vs Auto-in-a-loop.
+// the largest square size, batcher vs tuned Do in a loop.
 func runBatch(cfg Config) ([]Point, error) {
 	w := cfg.Workers
 	out := cfg.Out
@@ -75,7 +76,7 @@ func runBatch(cfg Config) ([]Point, error) {
 		if err := timeBatcher(bt, ring, min(8, maxIntSlice(batchSizes))); err != nil {
 			return nil, err
 		}
-		if err := ring.eachSeq(2, tn.Multiply); err != nil {
+		if err := ring.eachSeq(2, tn.Do); err != nil {
 			return nil, err
 		}
 
@@ -97,18 +98,18 @@ func runBatch(cfg Config) ([]Point, error) {
 			}
 
 			start := time.Now()
-			if err := ring.eachSeq(size, tn.Multiply); err != nil {
+			if err := ring.eachSeq(size, tn.Do); err != nil {
 				return nil, err
 			}
 			asecs := time.Since(start).Seconds()
 
 			start = time.Now()
-			err = ring.eachSeq(size, func(C, A, B *mat.Dense) error {
+			err = ring.eachSeq(size, func(r op.Request) error {
 				e, err := core.New(fixedAlg, core.Options{Resources: core.Resources{Workers: w}, Steps: 1, Parallel: core.DFS})
 				if err != nil {
 					return err
 				}
-				return e.Multiply(C, A, B)
+				return e.Do(r)
 			})
 			if err != nil {
 				return nil, err
@@ -145,7 +146,7 @@ func runBatch(cfg Config) ([]Point, error) {
 	if err := timeBatcher(bt, ring, 8); err != nil { // warm the class
 		return nil, err
 	}
-	if err := ring.eachSeq(2, tn.Multiply); err != nil {
+	if err := ring.eachSeq(2, tn.Do); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -154,7 +155,7 @@ func runBatch(cfg Config) ([]Point, error) {
 	}
 	bsecs := time.Since(start).Seconds()
 	start = time.Now()
-	if err := ring.eachSeq(headBatch, tn.Multiply); err != nil {
+	if err := ring.eachSeq(headBatch, tn.Do); err != nil {
 		return nil, err
 	}
 	asecs := time.Since(start).Seconds()
@@ -168,7 +169,7 @@ func runBatch(cfg Config) ([]Point, error) {
 			P: headN, Q: headN, R: headN, Workers: w,
 			Seconds: per, Eff: eff, EffCore: eff / float64(w)})
 	}
-	fmt.Fprintf(out, "  headline: %d × %d^3 same-shape batch — batcher %.2fx throughput vs per-call Auto at %d workers\n",
+	fmt.Fprintf(out, "  headline: %d × %d^3 same-shape batch — batcher %.2fx throughput vs per-call tuned Do at %d workers\n",
 		headBatch, headN, asecs/bsecs, w)
 	fmt.Fprintln(out, "  acceptance bar: ≥ 1.3x on the full-size multi-worker run (the win is inter-multiply parallelism; a 1-worker run only measures dispatch overhead)")
 
@@ -202,7 +203,7 @@ func runLaneScenario(cfg Config, bt *batch.Batcher) ([]Point, error) {
 		for i := 0; i < highItems; i++ {
 			C, A, B := ring.item(i)
 			start := time.Now()
-			tk, err := bt.SubmitWith(C, A, B, batch.SubmitOpts{Lane: batch.LaneHigh})
+			tk, err := bt.SubmitRequest(op.Request{C: C, A: A, B: B}, batch.SubmitOpts{Lane: batch.LaneHigh})
 			if err != nil {
 				return 0, err
 			}
@@ -248,7 +249,7 @@ func runLaneScenario(cfg Config, bt *batch.Batcher) ([]Point, error) {
 				}
 			}
 			_, A, B := ring.item(i)
-			tk, err := bt.SubmitWith(cs[i%window], A, B, batch.SubmitOpts{Lane: batch.LaneLow})
+			tk, err := bt.SubmitRequest(op.Request{C: cs[i%window], A: A, B: B}, batch.SubmitOpts{Lane: batch.LaneLow})
 			if err != nil {
 				floodErr <- err
 				return
@@ -278,14 +279,15 @@ func runLaneScenario(cfg Config, bt *batch.Batcher) ([]Point, error) {
 		cbWg.Add(1)
 		C := mat.New(laneN, laneN)
 		_, A, B := ring.item(i)
-		err := bt.SubmitFunc(C, A, B, batch.SubmitOpts{
+		_, err := bt.SubmitRequest(op.Request{C: C, A: A, B: B}, batch.SubmitOpts{
 			Lane:     batch.LaneLow,
 			Deadline: time.Now().Add(expiry),
-		}, func(err error) {
-			if errors.Is(err, batch.ErrDeadlineExceeded) {
-				expired.Add(1)
-			}
-			cbWg.Done()
+			Callback: func(err error) {
+				if errors.Is(err, batch.ErrDeadlineExceeded) {
+					expired.Add(1)
+				}
+				cbWg.Done()
+			},
 		})
 		if errors.Is(err, batch.ErrAdmissionDenied) {
 			// Admission shed the item at submit: no callback will ever fire.
@@ -386,10 +388,10 @@ func (r *operandRing) item(i int) (C, A, B *mat.Dense) {
 
 // eachSeq runs size multiplications back to back through f (the per-call
 // dispatch styles).
-func (r *operandRing) eachSeq(size int, f func(C, A, B *mat.Dense) error) error {
+func (r *operandRing) eachSeq(size int, do func(op.Request) error) error {
 	for i := 0; i < size; i++ {
 		C, A, B := r.item(i)
-		if err := f(C, A, B); err != nil {
+		if err := do(op.Request{C: C, A: A, B: B}); err != nil {
 			return err
 		}
 	}

@@ -80,13 +80,13 @@ func runStructured(cfg Config) ([]Point, error) {
 			if _, err := tn.PlanForOp(op.ATA, cols, rows, cols); err != nil {
 				return nil, err
 			}
-			if _, err := tn.PlanFor(cols, rows, cols); err != nil {
+			if _, err := tn.PlanForOp(op.Multiply, cols, rows, cols); err != nil {
 				return nil, err
 			}
 			if err := tn.Do(op.Request{Op: op.ATA, C: C, A: A}); err != nil {
 				return nil, err
 			}
-			if err := tn.Multiply(C, T, A); err != nil {
+			if err := tn.Do(op.Request{C: C, A: T, B: A}); err != nil {
 				return nil, err
 			}
 
@@ -96,7 +96,7 @@ func runStructured(cfg Config) ([]Point, error) {
 				}
 			})
 			mulSecs := medianTime(cfg.Trials, func() {
-				if err := tn.Multiply(C, T, A); err != nil {
+				if err := tn.Do(op.Request{C: C, A: T, B: A}); err != nil {
 					panic(err)
 				}
 			})

@@ -32,6 +32,7 @@ import (
 	"fastmm/internal/algo"
 	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
+	"fastmm/internal/op"
 	"fastmm/internal/resources"
 	"fastmm/internal/trace"
 	"fastmm/internal/workspace"
@@ -283,39 +284,51 @@ func (e *Executor) Backend() string { return e.be.Name() }
 
 // Multiply computes C = A·B. C must be A.Rows()×B.Cols() and must not alias
 // A or B.
-func (e *Executor) Multiply(C, A, B *mat.Dense) error { return e.MultiplyTrace(C, A, B, nil) }
+func (e *Executor) Multiply(C, A, B *mat.Dense) error { return e.Do(op.Request{C: C, A: A, B: B}) }
 
-// MultiplyTrace is Multiply with an optional execution-trace sink: when tr
-// is non-nil the call records its scheduling decision (the traversal mode
-// actually run, workspace-cap degradation included, and the granted width),
-// each recursion step's sub-shape and workspace mark, and every leaf gemm
-// call. The sink is fixed-capacity and concurrency-safe, so BFS fan-out
-// records without coordination; a nil sink costs one pointer check per site.
+// Do executes one operation-typed request, C = Alpha·op(A,B) + Beta·C, with
+// the executor's algorithm schedule. Alpha rides the recursion to the base
+// case (§3.1) and a nonzero Beta runs the leaves and the combine epilogue in
+// accumulate mode, so neither costs a pass over C; only a Beta outside
+// {0, 1} pre-scales C once. ATA and Syrk run the symmetric recursion
+// (structured.go) with an exactly symmetric result; accumulating one of
+// them computes the product into a temporary and adds it, so the update
+// stays exactly symmetric whatever C held.
+//
+// When Trace is non-nil the call records its scheduling decision (the
+// traversal mode actually run, workspace-cap degradation included, and the
+// granted width), each recursion step's sub-shape and workspace mark, and
+// every leaf gemm call. The sink is fixed-capacity and concurrency-safe, so
+// BFS fan-out records without coordination; a nil sink costs one pointer
+// check per site.
 //
 // The steady-state DFS path must stay allocation-free (the benchmarks pin it
 // at one pinned runContext alloc per call, waived below); fmmvet enforces
 // this over the whole static call graph.
 //
 //fastmm:zeroalloc
-func (e *Executor) MultiplyTrace(C, A, B *mat.Dense, tr *trace.Spans) error {
-	if A.Cols() != B.Rows() || C.Rows() != A.Rows() || C.Cols() != B.Cols() {
-		//fastmm:allow error construction on the reject path, before any work
-		return fmt.Errorf("core: dimension mismatch C %d×%d = A %d×%d · B %d×%d",
-			C.Rows(), C.Cols(), A.Rows(), A.Cols(), B.Rows(), B.Cols())
+func (e *Executor) Do(r op.Request) error {
+	r = r.Normalized()
+	if err := r.Validate(); err != nil { //fastmm:allow validation formats its error only on the reject path
+		return fmt.Errorf("core: %w", err) //fastmm:allow error construction on the reject path, before any work
 	}
+	if r.Beta != 0 && r.Beta != 1 {
+		mat.Scale(r.C, r.Beta, r.C)
+	}
+	acc := r.Beta != 0
+	if r.Op.Symmetric() {
+		if !acc {
+			e.structured(r.C, r.A, r.Op == op.ATA, r.Alpha, r.Trace)
+			return nil
+		}
+		T := mat.New(r.C.Rows(), r.C.Cols()) //fastmm:allow the accumulating symmetric update's temporary
+		e.structured(T, r.A, r.Op == op.ATA, r.Alpha, r.Trace)
+		mat.Axpy(r.C, 1, T)
+		return nil
+	}
+	C, A, B := r.C, r.A, r.B
 	mode := e.scheduleMode(A.Rows(), A.Cols(), B.Cols())
-	ctx := newRunContext(e.opts, mode, e.leafCount()) //fastmm:allow the pinned one allocation per call (runContext + its BFS/HYBRID sync)
-	ctx.tr = tr
-	if tr != nil {
-		tr.Add(trace.Span{
-			Kind:    trace.KindSched,
-			Sched:   mode.String(),
-			Workers: int32(ctx.workers),
-			M:       int32(A.Rows()),
-			K:       int32(A.Cols()),
-			N:       int32(B.Cols()),
-		})
-	}
+	ctx := e.newCall(mode, e.leafCount(), A.Rows(), A.Cols(), B.Cols(), r.Trace)
 	ar := e.arenas.Get()
 	// Returned via defer so a panic escaping the recursion (e.g. a caller
 	// mutating an operand concurrently) cannot leak the warmed arena. For
@@ -331,14 +344,32 @@ func (e *Executor) MultiplyTrace(C, A, B *mat.Dense, tr *trace.Spans) error {
 	if mode != Hybrid {
 		// Only HYBRID needs the deferred-leaf pump of ctx.root; calling
 		// multiply directly keeps the hot path free of closure allocations.
-		e.multiply(ctx, ar, C, A, B, 1, 0, 0, false)
+		e.multiply(ctx, ar, C, A, B, r.Alpha, 0, 0, acc)
 	} else {
 		//fastmm:allow HYBRID spawn path; DFS steady state takes the branch above
 		ctx.root(func() {
-			e.multiply(ctx, ar, C, A, B, 1, 0, 0, false)
+			e.multiply(ctx, ar, C, A, B, r.Alpha, 0, 0, acc)
 		})
 	}
 	return nil
+}
+
+// newCall builds one call's run context with the trace sink attached, and
+// records the scheduling decision for the p×q·q×r product it starts.
+func (e *Executor) newCall(mode Parallel, leaves, p, q, r int, tr *trace.Spans) *runContext {
+	ctx := newRunContext(e.opts, mode, leaves) //fastmm:allow the pinned one allocation per call (runContext + its BFS/HYBRID sync)
+	ctx.tr = tr
+	if tr != nil {
+		tr.Add(trace.Span{
+			Kind:    trace.KindSched,
+			Sched:   mode.String(),
+			Workers: int32(ctx.workers),
+			M:       int32(p),
+			K:       int32(q),
+			N:       int32(r),
+		})
+	}
+	return ctx
 }
 
 // scheduleMode resolves the scheduler for one call: the configured mode,
@@ -369,13 +400,18 @@ func (e *Executor) WorkspaceBytes(p, q, r int) int64 {
 }
 
 func (e *Executor) workspaceBytes(mode Parallel, p, q, r int) int64 {
-	floats := e.workspaceFloats(mode, p, q, r, 0)
+	return 8 * (e.workspaceFloats(mode, p, q, r, 0) + e.packFloats(mode))
+}
+
+// packFloats is the gemm kernel's packing slabs under the mode's leaf width:
+// one slab per worker, except sequential execution's single slab.
+func (e *Executor) packFloats(mode Parallel) int64 {
 	packWorkers := 1
 	if mode != Sequential {
 		packWorkers = e.opts.Workers
 	}
 	//fastmm:allow Backend interface read of a static per-backend constant
-	return 8 * (floats + int64(packWorkers)*e.be.PackFloatsPerWorker())
+	return int64(packWorkers) * e.be.PackFloatsPerWorker()
 }
 
 // workspaceFloats counts the float64 temporaries live at once in the
@@ -489,7 +525,7 @@ func (e *Executor) shouldRecurse(level int, p, q, r int) bool {
 // multiply computes C (+)= alpha·A·B recursively within arena ar (owned by
 // the calling goroutine). leafBase locates this subtree's first leaf in the
 // global preorder numbering (HYBRID bookkeeping). acc selects accumulation
-// into C (MultiplyAdd's beta path) — it reaches the leaves and the combine
+// into C (a request's nonzero Beta) — it reaches the leaves and the combine
 // epilogue, so no product temporary is ever materialized for it.
 func (e *Executor) multiply(ctx *runContext, ar *workspace.Arena, C, A, B *mat.Dense, alpha float64, level, leafBase int, acc bool) {
 	p, q, r := A.Rows(), A.Cols(), B.Cols()
@@ -831,7 +867,7 @@ func (e *Executor) nodes(ar *workspace.Arena, plan *addchain.Plan, src []*mat.De
 
 // combine forms the C blocks from the M_r per the configured strategy. With
 // acc the blocks accumulate (C_j += Σ w·M_r) instead of being overwritten —
-// MultiplyAdd's beta path reaching the combine epilogue.
+// a request's nonzero Beta reaching the combine epilogue.
 func (e *Executor) combine(ar *workspace.Arena, plan *addchain.Plan, cblocks, ms []*mat.Dense, workers int, acc bool) {
 	if e.opts.Strategy == addchain.Streaming {
 		e.streamCombine(ar, plan, cblocks, ms, workers, acc)

@@ -22,9 +22,6 @@ func TestEveryCatalogAlgorithmMatchesGemm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.APA {
-			continue // approximate algorithms have their own error model
-		}
 		t.Run(name, func(t *testing.T) {
 			b := a.Base
 			for _, mode := range modes {

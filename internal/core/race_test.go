@@ -2,8 +2,9 @@
 
 package core
 
-// raceEnabled relaxes allocation thresholds: race instrumentation defeats
+// raceEnabled turns off the allocation pins: race instrumentation defeats
 // the escape analysis that keeps fixup closures and scheduling state off
-// the heap, so alloc counts are higher under -race through no fault of the
-// arenas.
+// the heap, and sync.Pool.Put drops items at random (the gemm packing slabs
+// and the transpose scratch are pooled), so alloc counts under -race say
+// nothing about the arenas. The plain pass asserts the pins.
 const raceEnabled = true

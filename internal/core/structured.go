@@ -1,10 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
+	"fastmm/internal/trace"
 	"fastmm/internal/workspace"
 )
 
@@ -23,42 +22,18 @@ import (
 // so C[i][j] == C[j][i] holds bit-for-bit under ANY leaf backend — not just
 // ones whose accumulation order happens to be symmetric.
 
-// MultiplyATA computes C = Aᵗ·A for an m×n operand A; C must be n×n and must
-// not alias A. The result is exactly symmetric: C.At(i,j) == C.At(j,i) for
-// all i,j, bit-for-bit. Like Multiply, steady-state calls on a reused
-// Executor are (amortized) allocation-free for sequential and single-worker
-// DFS execution.
-func (e *Executor) MultiplyATA(C, A *mat.Dense) error {
-	n := A.Cols()
-	if C.Rows() != n || C.Cols() != n {
-		return fmt.Errorf("core: ATA dimension mismatch C %d×%d = Aᵗ·A for A %d×%d (want C %d×%d)",
-			C.Rows(), C.Cols(), A.Rows(), A.Cols(), n, n)
-	}
-	return e.structured(C, A, true)
-}
-
-// MultiplySyrk computes C = A·Aᵗ for an m×n operand A; C must be m×m and
-// must not alias A. The result is exactly symmetric, like MultiplyATA's.
-func (e *Executor) MultiplySyrk(C, A *mat.Dense) error {
-	m := A.Rows()
-	if C.Rows() != m || C.Cols() != m {
-		return fmt.Errorf("core: SYRK dimension mismatch C %d×%d = A·Aᵗ for A %d×%d (want C %d×%d)",
-			C.Rows(), C.Cols(), A.Rows(), A.Cols(), m, m)
-	}
-	return e.structured(C, A, false)
-}
-
-// structured runs the symmetric recursion. gram selects C = Aᵗ·A (p = cols,
-// q = rows); otherwise C = A·Aᵗ (p = rows, q = cols). Either way one
-// materialized transpose of A turns the problem into C = L·R with L == Rᵗ,
-// which is the invariant the recursion maintains on every diagonal subblock.
-func (e *Executor) structured(C, A *mat.Dense, gram bool) error {
+// structured runs the symmetric recursion for Do, overwriting C with
+// alpha·Aᵗ·A (gram) or alpha·A·Aᵗ. gram selects p = cols, q = rows;
+// otherwise p = rows, q = cols. Either way one materialized transpose of A
+// turns the problem into C = L·R with L == Rᵗ, which is the invariant the
+// recursion maintains on every diagonal subblock.
+func (e *Executor) structured(C, A *mat.Dense, gram bool, alpha float64, tr *trace.Spans) {
 	p, q := A.Cols(), A.Rows()
 	if !gram {
 		p, q = A.Rows(), A.Cols()
 	}
 	mode := e.structuredMode(p, q)
-	ctx := newRunContext(e.opts, mode, 0)
+	ctx := e.newCall(mode, 0, p, q, p, tr)
 	ar := e.arenas.Get()
 	defer e.arenas.Put(ar)
 	if mode == Sequential || mode == DFS {
@@ -72,8 +47,7 @@ func (e *Executor) structured(C, A *mat.Dense, gram bool) error {
 	if !gram {
 		L, R = A, Tr // syrk: C = A·Aᵗ
 	}
-	e.symRecurse(ctx, ar, C, L, R)
-	return nil
+	e.symRecurse(ctx, ar, C, L, R, alpha)
 }
 
 // structuredMode resolves the scheduler for a structured call: the
@@ -94,13 +68,13 @@ func (e *Executor) structuredMode(p, q int) Parallel {
 	return mode
 }
 
-// symRecurse computes C = L·R where L == Rᵗ exactly (L is p×q, R is q×p,
-// C is p×p). Diagonal blocks recurse; the lower off-diagonal block runs the
-// general fast-multiply recursion; the upper is its mirror.
-func (e *Executor) symRecurse(ctx *runContext, ar *workspace.Arena, C, L, R *mat.Dense) {
+// symRecurse computes C = alpha·L·R where L == Rᵗ exactly (L is p×q, R is
+// q×p, C is p×p). Diagonal blocks recurse; the lower off-diagonal block runs
+// the general fast-multiply recursion; the upper is its mirror.
+func (e *Executor) symRecurse(ctx *runContext, ar *workspace.Arena, C, L, R *mat.Dense, alpha float64) {
 	p, q := L.Rows(), L.Cols()
 	if p < 2*e.opts.MinDim || p < 2 {
-		e.symLeaf(ctx, C, L, R)
+		e.symLeaf(ctx, C, L, R, alpha)
 		return
 	}
 	h := p / 2
@@ -108,34 +82,35 @@ func (e *Executor) symRecurse(ctx *runContext, ar *workspace.Arena, C, L, R *mat
 	L2 := ar.View(L, h, 0, p-h, q)
 	R1 := ar.View(R, 0, 0, q, h)
 	R2 := ar.View(R, 0, h, q, p-h)
-	e.symRecurse(ctx, ar, ar.View(C, 0, 0, h, h), L1, R1)
-	e.symRecurse(ctx, ar, ar.View(C, h, h, p-h, p-h), L2, R2)
+	e.symRecurse(ctx, ar, ar.View(C, 0, 0, h, h), L1, R1, alpha)
+	e.symRecurse(ctx, ar, ar.View(C, h, h, p-h, p-h), L2, R2, alpha)
 	// The off-diagonal block C21 = L2·R1 is a general product — this is the
 	// M(n/2) term of the recurrence, served by the executor's fast-multiply
 	// recursion (algorithm schedule, peeling, scheduler and all).
 	c21 := ar.View(C, h, 0, p-h, h)
-	e.multiply(ctx, ar, c21, L2, R1, 1, 0, 0, false)
+	e.multiply(ctx, ar, c21, L2, R1, alpha, 0, 0, false)
 	// Mirror epilogue: C12 = C21ᵗ, copied — never recomputed — so the two
 	// triangles agree bit-for-bit.
 	parMirror(ar.View(C, 0, h, h, p-h), c21, ctx.additionWorkers())
 }
 
-// symLeaf computes one diagonal block C = L·R with the leaf kernel and
+// symLeaf computes one diagonal block C = alpha·L·R with the leaf kernel and
 // mirrors its lower triangle up, enforcing exact symmetry within the block.
-func (e *Executor) symLeaf(ctx *runContext, C, L, R *mat.Dense) {
+func (e *Executor) symLeaf(ctx *runContext, C, L, R *mat.Dense, alpha float64) {
 	if s := e.opts.Stats; s != nil {
 		s.add(&s.LeafCalls, 1)
 	}
 	switch ctx.mode {
 	case Sequential:
-		gemm.Dispatch(e.be, C, 1, L, R, false, 1)
+		gemm.DispatchTraced(e.be, C, alpha, L, R, false, 1, ctx.tr)
 		mirrorLower(C)
 	case DFS:
-		gemm.Dispatch(e.be, C, 1, L, R, false, ctx.workers)
+		gemm.DispatchTraced(e.be, C, alpha, L, R, false, ctx.workers, ctx.tr)
 		mirrorLower(C)
 	default: // BFS (structuredMode never yields Hybrid)
+		//fastmm:allow BFS task body; per-task captures are the spawn cost
 		ctx.compute(func() {
-			gemm.Dispatch(e.be, C, 1, L, R, false, 1)
+			gemm.DispatchTraced(e.be, C, alpha, L, R, false, 1, ctx.tr)
 			mirrorLower(C)
 		})
 	}
@@ -162,6 +137,7 @@ func parMirror(dst, src *mat.Dense, workers int) {
 		mirrorInto(dst, src, 0, rows)
 		return
 	}
+	//fastmm:allow row-slab fan-out; the workers<=1 steady state returned above
 	eachRows(rows, workers, func(lo, n int) { mirrorInto(dst, src, lo, lo+n) })
 }
 
@@ -178,33 +154,6 @@ func mirrorInto(dst, src *mat.Dense, lo, hi int) {
 // parTranspose writes dst = srcᵗ with the same parallelization policy.
 func parTranspose(dst, src *mat.Dense, workers int) { parMirror(dst, src, workers) }
 
-// MultiplyAdd computes C += alpha·A·B. The accumulation rides the recursion
-// all the way to the leaves (alpha piped to the base case, §3.1; the leaf
-// gemm and the combine epilogue run in accumulate mode), so no product-sized
-// temporary is materialized and no separate final-add pass runs — under a
-// fused plan the beta-accumulate happens inside the scatter-add epilogue
-// itself. Dimensions as for Multiply.
-func (e *Executor) MultiplyAdd(C, A, B *mat.Dense, alpha float64) error {
-	if A.Cols() != B.Rows() || C.Rows() != A.Rows() || C.Cols() != B.Cols() {
-		return fmt.Errorf("core: dimension mismatch C %d×%d += A %d×%d · B %d×%d",
-			C.Rows(), C.Cols(), A.Rows(), A.Cols(), B.Rows(), B.Cols())
-	}
-	p, q, r := A.Rows(), A.Cols(), B.Cols()
-	mode := e.scheduleMode(p, q, r)
-	ctx := newRunContext(e.opts, mode, e.leafCount())
-	ar := e.arenas.Get()
-	defer e.arenas.Put(ar)
-	if mode == Sequential || mode == DFS {
-		ar.Reserve(int(e.workspaceFloats(mode, p, q, r, 0)))
-	}
-	if mode != Hybrid {
-		e.multiply(ctx, ar, C, A, B, alpha, 0, 0, true)
-	} else {
-		ctx.root(func() { e.multiply(ctx, ar, C, A, B, alpha, 0, 0, true) })
-	}
-	return nil
-}
-
 // structuredFloats is the float64 footprint of one structured call: the
 // materialized transpose plus the largest concurrent off-diagonal multiply
 // (the top split's — deeper ones reuse its released arena space in DFS and
@@ -218,21 +167,17 @@ func (e *Executor) structuredFloats(mode Parallel, p, q int) int64 {
 }
 
 func (e *Executor) structuredBytes(mode Parallel, p, q int) int64 {
-	packWorkers := 1
-	if mode != Sequential {
-		packWorkers = e.opts.Workers
-	}
-	return 8 * (e.structuredFloats(mode, p, q) + int64(packWorkers)*e.be.PackFloatsPerWorker())
+	return 8 * (e.structuredFloats(mode, p, q) + e.packFloats(mode))
 }
 
-// WorkspaceBytesATA predicts the peak workspace of one MultiplyATA call on
-// an m×n operand, the structured counterpart of WorkspaceBytes.
+// WorkspaceBytesATA predicts the peak workspace of one ATA request on an
+// m×n operand, the structured counterpart of WorkspaceBytes.
 func (e *Executor) WorkspaceBytesATA(m, n int) int64 {
 	return e.structuredBytes(e.structuredMode(n, m), n, m)
 }
 
-// WorkspaceBytesSyrk predicts the peak workspace of one MultiplySyrk call on
-// an m×n operand.
+// WorkspaceBytesSyrk predicts the peak workspace of one Syrk request on an
+// m×n operand.
 func (e *Executor) WorkspaceBytesSyrk(m, n int) int64 {
 	return e.structuredBytes(e.structuredMode(m, n), m, n)
 }

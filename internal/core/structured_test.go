@@ -7,6 +7,7 @@ import (
 	"fastmm/internal/catalog"
 	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
+	"fastmm/internal/op"
 )
 
 // refATA computes the classical Aᵗ·A reference through the gemm oracle.
@@ -55,9 +56,6 @@ func TestStructuredMatchesGemm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.APA {
-			continue // approximate algorithms have their own error model
-		}
 		t.Run(name, func(t *testing.T) {
 			b := a.Base
 			for _, mode := range modes {
@@ -82,7 +80,7 @@ func TestStructuredMatchesGemm(t *testing.T) {
 					}
 
 					gotATA := mat.New(n, n)
-					if err := e.MultiplyATA(gotATA, A); err != nil {
+					if err := e.Do(op.Request{Op: op.ATA, C: gotATA, A: A}); err != nil {
 						t.Fatal(err)
 					}
 					if d := mat.MaxAbsDiff(gotATA, refATA(A)); d > tol {
@@ -92,7 +90,7 @@ func TestStructuredMatchesGemm(t *testing.T) {
 					checkExactSymmetry(t, gotATA)
 
 					gotSyrk := mat.New(m, m)
-					if err := e.MultiplySyrk(gotSyrk, A); err != nil {
+					if err := e.Do(op.Request{Op: op.Syrk, C: gotSyrk, A: A}); err != nil {
 						t.Fatal(err)
 					}
 					if d := mat.MaxAbsDiff(gotSyrk, refSyrk(A)); d > tol {
@@ -120,7 +118,7 @@ func TestStructuredPeelingEdgeShapes(t *testing.T) {
 			tol := 1e-10 * float64(m+n+1)
 
 			gotATA := mat.New(n, n)
-			if err := e.MultiplyATA(gotATA, A); err != nil {
+			if err := e.Do(op.Request{Op: op.ATA, C: gotATA, A: A}); err != nil {
 				t.Fatal(err)
 			}
 			if d := mat.MaxAbsDiff(gotATA, refATA(A)); d > tol {
@@ -129,7 +127,7 @@ func TestStructuredPeelingEdgeShapes(t *testing.T) {
 			checkExactSymmetry(t, gotATA)
 
 			gotSyrk := mat.New(m, m)
-			if err := e.MultiplySyrk(gotSyrk, A); err != nil {
+			if err := e.Do(op.Request{Op: op.Syrk, C: gotSyrk, A: A}); err != nil {
 				t.Fatal(err)
 			}
 			if d := mat.MaxAbsDiff(gotSyrk, refSyrk(A)); d > tol {
@@ -145,10 +143,10 @@ func TestStructuredPeelingEdgeShapes(t *testing.T) {
 func TestStructuredDimensionErrors(t *testing.T) {
 	e := mustExec(t, "strassen", Options{Resources: Resources{Workers: 1}, Steps: 1, Parallel: Sequential})
 	A := mat.New(8, 6)
-	if err := e.MultiplyATA(mat.New(8, 8), A); err == nil {
+	if err := e.Do(op.Request{Op: op.ATA, C: mat.New(8, 8), A: A}); err == nil {
 		t.Fatal("ATA with C 8×8 for 8×6 operand must fail (want 6×6)")
 	}
-	if err := e.MultiplySyrk(mat.New(6, 6), A); err == nil {
+	if err := e.Do(op.Request{Op: op.Syrk, C: mat.New(6, 6), A: A}); err == nil {
 		t.Fatal("SYRK with C 6×6 for 8×6 operand must fail (want 8×8)")
 	}
 }
@@ -163,7 +161,7 @@ func TestMultiplyAddMatchesReference(t *testing.T) {
 		A, B := randMat(m, k, rng), randMat(k, n, rng)
 		got := randMat(m, n, rng)
 		want := got.Clone()
-		if err := e.MultiplyAdd(got, A, B, 0.5); err != nil {
+		if err := e.Do(op.Request{Op: op.MultiplyAdd, C: got, A: A, B: B, Alpha: 0.5}); err != nil {
 			t.Fatal(err)
 		}
 		prod := mat.New(m, n)
@@ -180,18 +178,20 @@ func TestMultiplyAddMatchesReference(t *testing.T) {
 }
 
 // TestStructuredReuseAllocsDFS enforces the steady-state allocation guarantee
-// for the structured path: a reused executor runs MultiplyATA out of its
+// for the structured path: a reused executor runs an ATA request out of its
 // arenas — at most 1 alloc/op once warm.
 func TestStructuredReuseAllocsDFS(t *testing.T) {
 	e := mustExec(t, "strassen", Options{Resources: Resources{Workers: 1}, Steps: 2, Parallel: DFS})
 	rng := rand.New(rand.NewSource(5))
 	A := randMat(128, 96, rng)
 	C := mat.New(96, 96)
-	if err := e.MultiplyATA(C, A); err != nil { // warm the arenas
+	if err := e.Do(op.Request{Op: op.ATA, C: C, A: A}); err != nil { // warm the arenas
 		t.Fatal(err)
 	}
-	avg := testing.AllocsPerRun(20, func() { e.MultiplyATA(C, A) })
-	if avg > 1 {
-		t.Errorf("steady-state DFS MultiplyATA: %.1f allocs/op, want ≤ 1", avg)
+	avg := testing.AllocsPerRun(20, func() { e.Do(op.Request{Op: op.ATA, C: C, A: A}) })
+	// Race instrumentation defeats the escape analysis and drops sync.Pool
+	// items at random; the plain pass is the contract.
+	if avg > 1 && !raceEnabled {
+		t.Errorf("steady-state DFS ATA: %.1f allocs/op, want ≤ 1", avg)
 	}
 }

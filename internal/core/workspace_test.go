@@ -38,12 +38,6 @@ func randomProblem(p, q, r int, seed int64) (C, A, B *mat.Dense) {
 // warm-up, a DFS (and sequential) Multiply must reuse its arenas instead of
 // allocating — only the per-call run context remains.
 func TestDFSMultiplyIsAllocationFree(t *testing.T) {
-	// Race instrumentation makes otherwise stack-allocated closures escape,
-	// so the bound is looser there; the tight bound runs in the plain pass.
-	limit := 4.0
-	if raceEnabled {
-		limit = 64.0
-	}
 	for _, mode := range []Parallel{Sequential, DFS} {
 		for _, strat := range []addchain.Strategy{addchain.WriteOnce, addchain.Pairwise, addchain.Streaming} {
 			e := mustExec(t, "strassen", Options{Resources: Resources{Workers: 1}, Steps: 2, Parallel: mode, Strategy: strat})
@@ -55,8 +49,10 @@ func TestDFSMultiplyIsAllocationFree(t *testing.T) {
 					t.Fatal(err)
 				}
 				avg := testing.AllocsPerRun(20, func() { e.Multiply(C, A, B) })
-				if avg > limit {
-					t.Errorf("%v/%v n=%d steady-state Multiply: %.1f allocs/op, want ≤ %.0f", mode, strat, n, avg, limit)
+				// Race instrumentation defeats the escape analysis and drops
+				// sync.Pool items at random; the plain pass is the contract.
+				if avg > 4 && !raceEnabled {
+					t.Errorf("%v/%v n=%d steady-state Multiply: %.1f allocs/op, want ≤ 4", mode, strat, n, avg)
 				}
 			}
 		}

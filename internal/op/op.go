@@ -1,8 +1,10 @@
 // Package op defines the operation vocabulary of the framework: the Op enum
 // naming each structured product the stack can plan (general multiply,
 // Gram/AᵗA, SYRK, accumulate fusion) and the Request struct that carries one
-// operation through the operation-typed dispatch paths (fastmm.Do,
-// tuner.Tuner.Do, batch.Batcher.SubmitRequest).
+// operation down the single request path: fastmm.Do, batch.Batcher.Do and
+// SubmitRequest, and tuner.Tuner.Do all end in core.Executor.Do (or, for a
+// classical plan, in the leaf backend), with Alpha and Beta applied at the
+// leaves rather than in extra passes over C.
 //
 // Every layer that used to hard-code "C = A·B" keys on an Op instead: the
 // tuner caches plans per (op, shape), the batcher buckets warm entries per

@@ -51,7 +51,7 @@ func TestRankEnumeratesBackendDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked, err := tn.Rank(512, 512, 512)
+	ranked, err := tn.RankOp(op.Multiply, 512, 512, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRankEnumeratesBackendDimension(t *testing.T) {
 
 	// The executed decision honors the backend, and the plan round-trips
 	// through build (the disk-cache path).
-	plan, err := tn.PlanFor(512, 512, 512)
+	plan, err := tn.PlanForOp(op.Multiply, 512, 512, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestBackendRestrictionChangesKey(t *testing.T) {
 	}
 
 	// Restricted tuners only pick from their set.
-	plan, err := portable.PlanFor(256, 256, 256)
+	plan, err := portable.PlanForOp(op.Multiply, 256, 256, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

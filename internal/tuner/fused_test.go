@@ -12,11 +12,12 @@ import (
 )
 
 // TestRankEnumeratesFused: on a fuse-capable backend every explicit fast plan
-// has a fused twin in the candidate list, and the twin's model workspace is
-// never larger (the fused level drops its S/T/M temporaries).
+// has a fused twin in the candidate list (a one-step twin under the first
+// strategy only, see TestRankOpFusedOneStepOnce), and the twin's model
+// workspace is never larger (the fused level drops its S/T/M temporaries).
 func TestRankEnumeratesFused(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(1))
-	ranked, err := tn.Rank(512, 512, 512)
+	ranked, err := tn.RankOp(op.Multiply, 512, 512, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +59,9 @@ func TestRankEnumeratesFused(t *testing.T) {
 		if !gemm.CanFuse(be) {
 			continue
 		}
+		if v.steps == 1 {
+			v.strat = tn.opts.Strategies[0].String()
+		}
 		fp, ok := fused[v]
 		if !ok {
 			t.Errorf("explicit plan %s has no fused twin", ep)
@@ -65,6 +69,38 @@ func TestRankEnumeratesFused(t *testing.T) {
 		}
 		if fp.WorkspaceBytes > ep.WorkspaceBytes {
 			t.Errorf("%s: fused workspace %d exceeds explicit %d", fp, fp.WorkspaceBytes, ep.WorkspaceBytes)
+		}
+	}
+}
+
+// TestRankOpFusedOneStepOnce: a one-step fused plan runs the same way under
+// every addition strategy, so the ranking holds no two such plans that differ
+// only in Strategy.
+func TestRankOpFusedOneStepOnce(t *testing.T) {
+	tn := mustTuner(t, modelOnlyOpts(1))
+	if len(tn.opts.Strategies) < 2 {
+		t.Fatalf("need at least two strategies, have %v", tn.opts.Strategies)
+	}
+	for _, o := range []op.Op{op.Multiply, op.ATA} {
+		ranked, err := tn.RankOp(o, 512, 512, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[Plan]bool{}
+		n := 0
+		for _, p := range ranked {
+			if !p.Fused || p.Steps != 1 {
+				continue
+			}
+			n++
+			p.Strategy, p.PredictedSeconds, p.WorkspaceBytes = "", 0, 0
+			if seen[p] {
+				t.Errorf("%s: one-step fused plan enumerated under more than one strategy", p)
+			}
+			seen[p] = true
+		}
+		if n == 0 {
+			t.Errorf("%s: no one-step fused plans ranked", o)
 		}
 	}
 }
@@ -110,7 +146,7 @@ func TestFusedPlanBuildsAndPersists(t *testing.T) {
 	A.FillRandom(rng)
 	B.FillRandom(rng)
 	got, want := mat.New(n, n), mat.New(n, n)
-	if err := d.multiply(got, A, B); err != nil {
+	if err := d.run(op.Request{C: got, A: A, B: B}); err != nil {
 		t.Fatal(err)
 	}
 	gemm.Mul(want, A, B)

@@ -19,7 +19,7 @@
 //     os.UserCacheDir, overridable via FASTMM_TUNE_CACHE) fronted by an
 //     in-memory LRU, so repeated shapes dispatch in O(1).
 //
-// fastmm.Auto and fastmm.NewAutoExecutor are the public surface;
+// fastmm.Do and fastmm.NewAutoExecutor are the public surface;
 // cmd/fmmtune pre-warms, inspects, and clears the caches.
 package tuner
 
@@ -222,68 +222,21 @@ type decision struct {
 	failMul error
 }
 
-func (d *decision) multiply(C, A, B *mat.Dense) error {
-	return d.run(op.Request{Op: op.Multiply, C: C, A: A, B: B})
-}
-
 // run executes one request — C = Alpha·op(A,B) + Beta·C — with the decision's
-// plan. The overwrite paths (Beta == 0) are the hot, allocation-conscious
-// ones; accumulating into a symmetric result allocates one temporary.
+// plan: a fast plan through its executor's Do, the classical baseline on the
+// leaf backend directly.
 func (d *decision) run(r op.Request) error {
 	if d.failMul != nil {
 		return d.failMul
+	}
+	if d.exec != nil {
+		return d.exec.Do(r)
 	}
 	r = r.Normalized()
 	if err := r.Validate(); err != nil {
 		return fmt.Errorf("tuner: %w", err)
 	}
-	if d.exec == nil {
-		return d.runClassical(r)
-	}
-	switch r.Op {
-	case op.Multiply, op.MultiplyAdd:
-		if r.Beta == 0 {
-			if err := d.exec.MultiplyTrace(r.C, r.A, r.B, r.Trace); err != nil {
-				return err
-			}
-			if r.Alpha != 1 {
-				mat.Scale(r.C, r.Alpha, r.C)
-			}
-			return nil
-		}
-		if r.Beta != 1 {
-			mat.Scale(r.C, r.Beta, r.C)
-		}
-		return d.exec.MultiplyAdd(r.C, r.A, r.B, r.Alpha)
-	case op.ATA, op.Syrk:
-		sym := d.exec.MultiplyATA
-		if r.Op == op.Syrk {
-			sym = d.exec.MultiplySyrk
-		}
-		if r.Beta == 0 {
-			if err := sym(r.C, r.A); err != nil {
-				return err
-			}
-			if r.Alpha != 1 {
-				mat.Scale(r.C, r.Alpha, r.C)
-			}
-			return nil
-		}
-		// Accumulating a symmetric product: compute into a fresh temporary,
-		// then one axpy. Allocates — acceptable for this rare path; exact
-		// symmetry of the update is preserved (the temporary is exactly
-		// symmetric and axpy is elementwise).
-		T := mat.New(r.C.Rows(), r.C.Cols())
-		if err := sym(T, r.A); err != nil {
-			return err
-		}
-		if r.Beta != 1 {
-			mat.Scale(r.C, r.Beta, r.C)
-		}
-		mat.Axpy(r.C, r.Alpha, T)
-		return nil
-	}
-	return fmt.Errorf("tuner: unsupported op %s", r.Op)
+	return d.runClassical(r)
 }
 
 // runClassical serves a request on the direct-gemm baseline: alpha and the
@@ -404,12 +357,6 @@ func New(opts Options) (*Tuner, error) {
 // Calibration returns the machine profile the tuner predicts with.
 func (t *Tuner) Calibration() *Profile { return t.prof }
 
-// Multiply computes C = A·B with the tuned plan for the operands' shape —
-// tuning it first if this is the shape's first touch. C must not alias A/B.
-func (t *Tuner) Multiply(C, A, B *mat.Dense) error {
-	return t.Do(op.Request{Op: op.Multiply, C: C, A: A, B: B})
-}
-
 // Do executes one operation-typed request — C = Alpha·op(A,B) + Beta·C —
 // with the tuned plan for its (op, shape), tuning on first touch. Tuning is
 // per plan-space op: ATA and Syrk get their own cached plans (ranked at the
@@ -427,9 +374,6 @@ func (t *Tuner) Do(req op.Request) error {
 	return d.run(req)
 }
 
-// PlanFor returns the tuned multiply plan for a shape, tuning on first touch.
-func (t *Tuner) PlanFor(m, k, n int) (Plan, error) { return t.PlanForOp(op.Multiply, m, k, n) }
-
 // PlanForOp returns the tuned plan for an (op, shape), tuning on first
 // touch. The shape is always the gemm-equivalent product triple ⟨m,k,n⟩
 // (op.Op.Shape): ATA on an m×n operand asks for ⟨n,m,n⟩, Syrk for ⟨m,n,m⟩.
@@ -441,10 +385,6 @@ func (t *Tuner) PlanForOp(o op.Op, m, k, n int) (Plan, error) {
 	return d.plan, nil
 }
 
-// Warm pre-tunes a shape (probes included) so later Multiply calls dispatch
-// from the cache. cmd/fmmtune uses it to pre-warm the disk cache.
-func (t *Tuner) Warm(m, k, n int) (Plan, error) { return t.PlanFor(m, k, n) }
-
 // Entry is one warm tuning decision: the chosen plan bound to its runnable
 // trusted executor (nil executor for the classical baseline). Holding an
 // Entry pins the executor and its retained workspace arenas independently of
@@ -454,11 +394,6 @@ func (t *Tuner) Warm(m, k, n int) (Plan, error) { return t.PlanFor(m, k, n) }
 type Entry struct {
 	d *decision
 }
-
-// Entry returns the warm multiply entry for a shape, tuning it on first
-// touch. The returned entry stays valid (and keeps its executor's arenas
-// warm) even if the tuner later evicts or Forgets the shape.
-func (t *Tuner) Entry(m, k, n int) (*Entry, error) { return t.EntryOp(op.Multiply, m, k, n) }
 
 // EntryOp returns the warm entry for an (op, gemm-equivalent-shape) pair;
 // see PlanForOp for the triple convention. The batched dispatcher resolves
@@ -473,9 +408,6 @@ func (t *Tuner) EntryOp(o op.Op, m, k, n int) (*Entry, error) {
 
 // Plan reports the entry's tuned plan.
 func (e *Entry) Plan() Plan { return e.d.plan }
-
-// Multiply computes C = A·B with the entry's plan. Safe for concurrent use.
-func (e *Entry) Multiply(C, A, B *mat.Dense) error { return e.d.multiply(C, A, B) }
 
 // Run executes one request with the entry's plan. The request's op must
 // share the entry's plan space (op.PlanOp) and its shape must match the
@@ -492,10 +424,6 @@ func (e *Entry) WorkspaceRetained() int64 {
 	}
 	return e.d.exec.WorkspaceRetained()
 }
-
-// Forget drops a multiply shape's decision from the tuner's in-memory
-// cache; see ForgetOp.
-func (t *Tuner) Forget(m, k, n int) { t.ForgetOp(op.Multiply, m, k, n) }
 
 // ForgetOp drops an (op, shape) decision from the tuner's in-memory cache,
 // so its executor (and retained arenas) can be collected once outstanding
@@ -639,9 +567,6 @@ func (t *Tuner) remember(key string, d *decision, persist bool) {
 	}
 	_ = saveEntries(merged)
 }
-
-// Rank enumerates the candidate multiply plans for a shape; see RankOp.
-func (t *Tuner) Rank(m, k, n int) ([]Plan, error) { return t.RankOp(op.Multiply, m, k, n) }
 
 // RankOp enumerates the candidate plans for an (op, shape) — every leaf
 // backend × (classical baseline + algorithm × steps × scheduler × strategy)
@@ -844,8 +769,15 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int, ma costm
 		if fixup < 0 {
 			fixup = 0
 		}
-		for _, strat := range t.opts.Strategies {
+		for si, strat := range t.opts.Strategies {
 			for _, fused := range fusedDims {
+				if fused && steps == 1 && si > 0 {
+					// A one-step fused plan never reads its strategy (the cost
+					// model prices the fused level before it, and core's fused
+					// level forms no S/T/M), so every strategy would repeat
+					// the first one's plan.
+					continue
+				}
 				model := t.model(a, strat, fused)
 				cost, err := model.Evaluate(cm, ck, cn, steps)
 				if err != nil {

@@ -1,5 +1,5 @@
-// Tests for the operation-typed public surface: fastmm.Do, MultiplyATA,
-// Syrk, Batcher.SubmitRequest/Do, and the Classical helpers' backend-registry
+// Tests for the operation-typed public surface: fastmm.Do,
+// Batcher.SubmitRequest/Do, and the Classical helpers' backend-registry
 // routing.
 package fastmm_test
 
@@ -40,29 +40,29 @@ func maxAbsDiffPub(a, b *fastmm.Matrix) float64 {
 	return maxd
 }
 
-// TestPublicStructuredOps drives MultiplyATA, Syrk, and the general Do
-// request through the package-level surface.
+// TestPublicStructuredOps drives ATA, Syrk, and general requests through
+// the package-level Do.
 func TestPublicStructuredOps(t *testing.T) {
 	opts := autoTestOpts(2)
 	A := fastmm.RandomMatrix(90, 60, 3)
 
 	C := fastmm.NewMatrix(60, 60)
-	if err := fastmm.MultiplyATA(C, A, opts); err != nil {
+	if err := fastmm.Do(fastmm.Request{Op: fastmm.OpATA, C: C, A: A}, opts); err != nil {
 		t.Fatal(err)
 	}
 	if d := maxAbsDiffPub(C, refATAPub(A)); d > 1e-9 {
-		t.Fatalf("MultiplyATA: diff %g", d)
+		t.Fatalf("ATA: diff %g", d)
 	}
 	for i := 0; i < 60; i++ {
 		for j := 0; j < i; j++ {
 			if C.At(i, j) != C.At(j, i) {
-				t.Fatalf("MultiplyATA result not exactly symmetric at (%d,%d)", i, j)
+				t.Fatalf("ATA result not exactly symmetric at (%d,%d)", i, j)
 			}
 		}
 	}
 
 	S := fastmm.NewMatrix(90, 90)
-	if err := fastmm.Syrk(S, A, opts); err != nil {
+	if err := fastmm.Do(fastmm.Request{Op: fastmm.OpSyrk, C: S, A: A}, opts); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 90; i++ {
