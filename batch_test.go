@@ -1,5 +1,5 @@
 // Tests for the public batched-dispatch surface: fastmm.NewBatcher,
-// MultiplyBatch, Batcher.Submit/Wait, and Batcher.Stream. Synthetic
+// Batcher.Do, Batcher.Submit/SubmitRequest/Wait, and Batcher.Stats. Synthetic
 // calibration profiles keep them deterministic (see auto_test.go); every
 // option set carries NoDiskCache so no test touches the user's real cache.
 package fastmm_test
@@ -24,38 +24,6 @@ func batchTestOpts(workers int) fastmm.BatchOptions {
 		// this machine's real timings; leaving the drift loop on would
 		// trigger re-probes (and their allocations) mid-test.
 		Drift: fastmm.BatchDriftOptions{Disable: true},
-	}
-}
-
-func TestMultiplyBatchMatchesClassical(t *testing.T) {
-	shapes := [][3]int{{128, 128, 128}, {257, 129, 191}, {96, 160, 64}, {300, 300, 300}}
-	var dsts, as, bs, wants []*fastmm.Matrix
-	for i, s := range shapes {
-		A := fastmm.RandomMatrix(s[0], s[1], int64(i))
-		B := fastmm.RandomMatrix(s[1], s[2], int64(i+20))
-		as = append(as, A)
-		bs = append(bs, B)
-		dsts = append(dsts, fastmm.NewMatrix(s[0], s[2]))
-		w := fastmm.NewMatrix(s[0], s[2])
-		fastmm.Classical(w, A, B)
-		wants = append(wants, w)
-	}
-	opts := batchTestOpts(2)
-	for call := 0; call < 2; call++ { // second call reuses the shared warm batcher
-		for _, d := range dsts {
-			d.Zero()
-		}
-		if err := fastmm.MultiplyBatch(dsts, as, bs, opts); err != nil {
-			t.Fatal(err)
-		}
-		for i := range shapes {
-			if d := mat.MaxAbsDiff(dsts[i], wants[i]); d > 1e-9*float64(shapes[i][1]+1) {
-				t.Fatalf("call %d item %d: max diff %g", call, i, d)
-			}
-		}
-	}
-	if err := fastmm.MultiplyBatch(dsts[:1], as, bs, opts); err == nil {
-		t.Fatal("mismatched lengths must fail")
 	}
 }
 
@@ -84,35 +52,6 @@ func TestBatcherAllocsSteadyState(t *testing.T) {
 	})
 	if allocs > 2 && !raceEnabled {
 		t.Fatalf("steady-state batcher Do allocates %.1f/op, want ≤ 2", allocs)
-	}
-}
-
-// TestBatcherStreamPublic exercises the pipelined stream through the public
-// aliases.
-func TestBatcherStreamPublic(t *testing.T) {
-	b, err := fastmm.NewBatcher(batchTestOpts(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	var s *fastmm.BatchStream
-	s, err = b.Stream(96, 96, 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	A := fastmm.RandomMatrix(96, 96, 3)
-	B := fastmm.RandomMatrix(96, 96, 4)
-	want := fastmm.NewMatrix(96, 96)
-	fastmm.Classical(want, A, B)
-	C := fastmm.NewMatrix(96, 96)
-	if err := s.Push(C, A, B); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if d := mat.MaxAbsDiff(C, want); d > 1e-9*97 {
-		t.Fatalf("stream product: max diff %g", d)
 	}
 }
 
@@ -247,9 +186,9 @@ func TestBatcherAndAutoHammer(t *testing.T) {
 	for _, c := range st.Backends {
 		backendTotal += c
 	}
-	if backendTotal != totalDone+st.SyncDone+st.StreamDone {
+	if backendTotal != totalDone+st.SyncDone {
 		t.Fatalf("backend mix %d executions, counters say %d",
-			backendTotal, totalDone+st.SyncDone+st.StreamDone)
+			backendTotal, totalDone+st.SyncDone)
 	}
 	if hr := st.WarmHitRate(); hr <= 0 || hr >= 1 {
 		t.Fatalf("hammer warm hit rate = %g, want in (0, 1)", hr)

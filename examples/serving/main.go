@@ -4,7 +4,7 @@
 // workspace arenas) warm, and runs independent requests concurrently under
 // one worker budget — small requests side by side, large ones full width.
 // The same traffic is then replayed through per-call fastmm.Do for
-// comparison, a same-shape burst goes through the pipelined Stream, and a
+// comparison, a same-shape burst goes through SubmitRequest tickets, and a
 // final mixed-load section exercises the server-grade submit path: sparse
 // High-lane interactive requests stay fast against a Low-lane bulk flood,
 // deadline'd Low items are shed — rejected at submit by admission control
@@ -134,31 +134,28 @@ func main() {
 	fmt.Printf("per-call Do: %.2fs (%.1f req/s) -> batcher is %.2fx\n",
 		autoSecs, float64(requests)/autoSecs, autoSecs/batchSecs)
 
-	// A same-shape burst through the pipelined stream: operand staging
-	// overlaps the previous item's execution, and the staging copy means
-	// the caller can reuse its input buffers immediately.
+	// A same-shape burst through SubmitRequest: the operands are used in
+	// place (never copied), so A and B stay untouched until every ticket
+	// resolves; each item gets its own C.
 	const m, k, n = 320, 320, 320
-	stream, err := batcher.Stream(m, k, n)
-	if err != nil {
-		log.Fatal(err)
-	}
 	A, B := fastmm.RandomMatrix(m, k, 1), fastmm.RandomMatrix(k, n, 2)
-	burst := 16
-	outs := make([]*fastmm.Matrix, burst)
+	burst := make([]*fastmm.BatchTicket, 16)
 	start = time.Now()
-	for i := range outs {
-		outs[i] = fastmm.NewMatrix(m, n)
-		if err := stream.Push(outs[i], A, B); err != nil {
+	for i := range burst {
+		tk, err := batcher.SubmitRequest(fastmm.Request{C: fastmm.NewMatrix(m, n), A: A, B: B}, fastmm.SubmitOpts{})
+		if err != nil {
 			log.Fatal(err)
 		}
-		A.Set(0, 0, float64(i)) // safe: Push staged a copy
+		burst[i] = tk
 	}
-	if err := stream.Flush(); err != nil {
-		log.Fatal(err)
+	for _, tk := range burst {
+		if err := tk.Wait(); err != nil {
+			log.Fatal(err)
+		}
 	}
-	streamSecs := time.Since(start).Seconds()
-	fmt.Printf("pipelined stream: %d × %d^3 in %.2fs (%.1f req/s)\n",
-		burst, m, streamSecs, float64(burst)/streamSecs)
+	burstSecs := time.Since(start).Seconds()
+	fmt.Printf("same-shape burst: %d × %d^3 in %.2fs (%.1f req/s)\n",
+		len(burst), m, burstSecs, float64(len(burst))/burstSecs)
 
 	// Mixed load on the server-grade submit path: a Low-lane bulk flood
 	// saturates the workers while sparse High-lane "interactive" requests
@@ -241,9 +238,9 @@ func main() {
 	// The batcher's own view of the whole run: Stats() is the operational
 	// surface a real service would scrape (or poll via -http).
 	st := batcher.Stats()
-	fmt.Printf("stats: warm hit rate %.0f%%, %d warm classes, %.1f effective GFLOPS over %.2fs busy, backends %v, sync/stream done %d/%d\n",
+	fmt.Printf("stats: warm hit rate %.0f%%, %d warm classes, %.1f effective GFLOPS over %.2fs busy, backends %v, sync done %d\n",
 		100*st.WarmHitRate(), st.WarmEntries, st.EffectiveGFLOPS, st.BusySeconds,
-		st.Backends, st.SyncDone, st.StreamDone)
+		st.Backends, st.SyncDone)
 	fmt.Printf("  observability: %d traces sampled (%d lost) %v, drift events %d, re-probes %d\n",
 		st.TraceSampled, st.TraceLost, st.TraceSamples, st.DriftEvents, st.Reprobes)
 	laneName := map[fastmm.Lane]string{fastmm.LaneHigh: "high", fastmm.LaneNormal: "normal", fastmm.LaneLow: "low"}

@@ -268,9 +268,9 @@ func sharedAuto(opts AutoOptions) (*AutoExecutor, error) {
 	return t, nil
 }
 
-// autoOptionsKey renders a normalized AutoOptions as a map key: two option
-// sets that behave identically render identically. Shared by the Do
-// dispatcher map and the shared-batcher map.
+// autoOptionsKey renders a normalized AutoOptions as a map key (the Do
+// dispatcher map's): two option sets that behave identically render
+// identically.
 func autoOptionsKey(norm AutoOptions) string {
 	return fmt.Sprintf("%s min%d s%d k%d t%d pb%d cse%t alg%s st%v disk%t prof%s",
 		norm.Resources.Key(), norm.MinDim, norm.MaxSteps, norm.ProbeTopK,
@@ -278,12 +278,13 @@ func autoOptionsKey(norm AutoOptions) string {
 		norm.Strategies, norm.NoDiskCache, norm.Profile.Fingerprint())
 }
 
-// BatchOptions configures a Batcher (and MultiplyBatch). The zero value is
-// ready to use: GOMAXPROCS total workers, an unbounded-bytes warm pool of at
-// most batch.DefaultMaxEntries shape-class entries, pipelined streams, and
-// default tuning. Workspace bounds the bytes of executor workspace the warm
-// pool retains (LRU eviction); Tuning passes probe policy, candidate
-// restrictions, and cache behavior through to the autotuner.
+// BatchOptions configures a Batcher. The zero value is ready to use:
+// GOMAXPROCS total workers, an unbounded-bytes warm pool of at most 64
+// shape-class entries, tracing and drift detection on, and default tuning.
+// Workspace bounds the bytes of executor workspace the warm pool retains
+// (LRU eviction); GrainFLOPs sets the work per internal worker; QueueDepth
+// sizes the submission queue (backpressure); Tuning passes probe policy,
+// candidate restrictions, and cache behavior through to the autotuner.
 type BatchOptions = batch.Options
 
 // Batcher dispatches many multiplications through warm per-shape-class
@@ -292,14 +293,17 @@ type BatchOptions = batch.Options
 // workspace arenas stay warm, and independent multiplications run concurrently
 // under one total Workers budget — a deep queue of small problems runs many
 // sequential multiplies side by side, while a lone large problem uses the
-// full-width parallel schedule. The asynchronous submit path is server-grade:
-// SubmitRequest takes priority lanes (High/Normal/Low), per-item deadlines
-// (fail-fast with ErrDeadlineExceeded), and completion callbacks
-// (SubmitOpts.Callback) so servers avoid ticket bookkeeping — hardened with
-// deadline-aware admission control (ErrAdmissionDenied sheds guaranteed-dead
-// work at submit), a lane-aging window that bounds Low-lane starvation
-// (BatchOptions.AgingWindow), and an allocation-free metrics surface
-// (Batcher.Stats). It is safe for concurrent use; see NewBatcher.
+// full-width parallel schedule. Requests enter through Do (synchronous),
+// Submit, or SubmitRequest (asynchronous; the operands are used in place,
+// never copied, and must stay untouched until the ticket resolves). The
+// asynchronous path is server-grade: SubmitRequest takes priority lanes
+// (High/Normal/Low), per-item deadlines (fail-fast with
+// ErrDeadlineExceeded), and completion callbacks (SubmitOpts.Callback) so
+// servers avoid ticket bookkeeping — hardened with deadline-aware admission
+// control (ErrAdmissionDenied sheds guaranteed-dead work at submit), a
+// one-second lane-aging window that bounds Low-lane starvation, and an
+// allocation-free metrics surface (Batcher.Stats). It is safe for
+// concurrent use; see NewBatcher.
 type Batcher = batch.Batcher
 
 // BatchTicket tracks one asynchronous Batcher.Submit; Wait blocks until the
@@ -377,7 +381,7 @@ func BatchHistogramBounds() []time.Duration { return batch.HistogramBounds() }
 type TraceConfig = trace.Config
 
 // TraceRecord is one sampled request's execution trace: submission verdict
-// ("queued", "sync", "stream", "rejected", "expired"), lane and queue wait
+// ("queued", "sync", "rejected", "expired"), lane and queue wait
 // (with lane-aging promotion flagged), the resolved plan (shape class, warm
 // hit/miss, algorithm, steps, scheduler, backend, predicted vs measured
 // seconds), the measured service time, and the execution's spans. Records
@@ -391,67 +395,18 @@ type TraceSpan = trace.Span
 
 // BatchDriftOptions configures the drift loop (BatchOptions.Drift): every
 // completed execution is compared against the calibrated service-time
-// prediction, K consecutive completions outside the confidence band declare
-// a drift event, and drift events trigger a rate-limited re-tune of the
-// class (warm entry evicted, cached plan invalidated in memory and on disk,
-// class re-tuned, admission estimator reseeded). The zero value enables the
-// loop with defaults; set Disable to turn it off.
+// prediction, 8 consecutive completions off by more than a factor of 1.5
+// (either way) declare a drift event, and drift events trigger a re-tune of
+// the class (warm entry evicted, cached plan invalidated in memory and on
+// disk, class re-tuned, admission estimator reseeded) at most once a
+// minute. The zero value enables the loop; set Disable to turn it off.
 type BatchDriftOptions = batch.DriftOptions
-
-// BatchStream is a pipelined same-shape stream over a Batcher: Push stages
-// ("packs") the operands into retained double buffers and overlaps the copy
-// with the previous item's execution, so the caller may reuse its operand
-// buffers as soon as Push returns. Create one with Batcher.Stream.
-type BatchStream = batch.Stream
 
 // NewBatcher builds a batched dispatcher. The machine calibration behind its
 // tuners happens here (once), so construction may take ~100ms on a machine
 // with no persisted calibration; shape classes are tuned lazily as work
 // arrives. Close the batcher to stop its async runner pool.
 func NewBatcher(opts BatchOptions) (*Batcher, error) { return batch.New(opts) }
-
-// MultiplyBatch computes dsts[i] = as[i]·bs[i] for every i, running
-// independent multiplications concurrently through a process-shared Batcher
-// for the given options — so repeated calls with equal options reuse the
-// same warm executors and tuning decisions. The first error is returned.
-// Serving workloads with a long batcher lifetime should hold their own
-// NewBatcher instead.
-func MultiplyBatch(dsts, as, bs []*Matrix, opts BatchOptions) error {
-	b, err := sharedBatcher(opts)
-	if err != nil {
-		return err
-	}
-	return b.MultiplyAll(dsts, as, bs)
-}
-
-var (
-	batchMu    sync.Mutex
-	batchByOpt = map[string]*Batcher{}
-)
-
-// sharedBatcher returns the process-wide batcher for one option set,
-// mirroring sharedAuto: one entry per genuinely distinct option set, alive
-// for the process lifetime (its runner goroutines park on an empty queue).
-func sharedBatcher(opts BatchOptions) (*Batcher, error) {
-	norm := opts.Normalized()
-	key := fmt.Sprintf("%s e%d g%d np%t q%d ag%d tr%t/%d/%d dr%t/%g/%d/%d | %s",
-		norm.Resources.Key(), norm.MaxEntries, norm.GrainFLOPs,
-		norm.NoPipeline, norm.QueueDepth, norm.AgingWindow,
-		norm.Trace.Disable, norm.Trace.Ring, norm.Trace.Sample,
-		norm.Drift.Disable, norm.Drift.Band, norm.Drift.K, norm.Drift.MinReprobeInterval,
-		autoOptionsKey(norm.Tuning.Normalized()))
-	batchMu.Lock()
-	defer batchMu.Unlock()
-	if b, ok := batchByOpt[key]; ok {
-		return b, nil
-	}
-	b, err := batch.New(opts)
-	if err != nil {
-		return nil, err
-	}
-	batchByOpt[key] = b
-	return b, nil
-}
 
 // LeafBackends lists the registered leaf-kernel backends ("portable"
 // always; "simd" where its AVX2 kernel can run; "blas" when built with the

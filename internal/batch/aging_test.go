@@ -1,5 +1,5 @@
 // Lane-aging tests: strict priority must soften into a bounded starvation
-// window — a queued item older than Options.AgingWindow is served ahead of
+// window — a queued item older than agingWindow is served ahead of
 // higher-priority lanes. Everything runs on the fake clock; aging decisions
 // are pure state transitions here.
 package batch
@@ -134,15 +134,13 @@ func TestStrictPriorityStarvesWithoutAging(t *testing.T) {
 
 // TestLaneAgingBoundsStarvationEndToEnd drives aging through the full
 // batcher: a Low item queued behind a High backlog must be the first to
-// execute once its wait exceeds Options.AgingWindow. Without aging (the
-// pre-PR scheduler, Options.AgingWindow < 0) the High items all execute
-// first and the order assertion below fails.
+// execute once its wait exceeds agingWindow. Without aging (a strict-priority
+// scheduler) the High items all execute first and the order assertion below
+// fails.
 func TestLaneAgingBoundsStarvationEndToEnd(t *testing.T) {
-	const window = 50 * time.Millisecond
 	fc := newFakeClock()
 	opts := testOptions(1)
 	opts.Clock = fc
-	opts.AgingWindow = window
 	opts.QueueDepth = 64
 	b := newTestBatcher(t, opts)
 
@@ -168,11 +166,11 @@ func TestLaneAgingBoundsStarvationEndToEnd(t *testing.T) {
 	}
 
 	submit("low", LaneLow)
-	fc.Advance(30 * time.Millisecond) // the High flood arrives later...
+	fc.Advance(agingWindow * 3 / 5) // the High flood arrives later...
 	for i := 0; i < 4; i++ {
 		submit(fmt.Sprintf("high%d", i), LaneHigh)
 	}
-	fc.Advance(30 * time.Millisecond) // ...and only the Low item is over the window
+	fc.Advance(agingWindow * 3 / 5) // ...and only the Low item is over the window
 
 	release()
 	if err := b.Wait(); err != nil {

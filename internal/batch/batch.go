@@ -1,32 +1,33 @@
-// Package batch is the batched/streaming dispatch layer: it amortizes one
-// tuning decision — and one warm executor with its retained workspace arenas
-// — over streams of multiplications, the serving regime the tuner alone
-// cannot exploit. Where fastmm.Do pays dispatch, workspace warm-up, and
-// intra-multiply synchronization per call, a Batcher keys incoming work by
-// shape class (tuner.ClassOf's geometric bucketing), keeps a bounded pool of
-// warm per-class entries with LRU eviction under a byte budget, and runs
-// independent multiplications concurrently on a worker pool while splitting
-// each one's internal parallelism so the total stays inside one Workers
-// budget: a deep queue of small problems runs many sequential multiplies
-// side by side (near-perfect scaling — no per-call barriers), while a lone
-// large problem gets the full-width BFS/DFS treatment it gets today.
+// Package batch is the batched dispatch layer: it amortizes one tuning
+// decision — and one warm executor with its retained workspace arenas — over
+// many requests, the serving regime the tuner alone cannot exploit. Where
+// fastmm.Do pays dispatch, workspace warm-up, and intra-multiply
+// synchronization per call, a Batcher keys incoming work by shape class
+// (tuner.ClassOf's geometric bucketing), keeps a pool of at most 64 warm
+// per-class entries with LRU eviction under a byte budget, and runs
+// independent requests concurrently on a worker pool while splitting each
+// one's internal parallelism so the total stays inside one Workers budget:
+// a deep queue of small problems runs many sequential multiplies side by
+// side (near-perfect scaling — no per-call barriers), while a lone large
+// problem gets the full-width BFS/DFS treatment.
 //
-// The submission path is server-grade: asynchronous work queues on priority
-// lanes (High/Normal/Low, strict priority with FIFO within a lane), items
-// may carry deadlines (an item that has not started executing by its
-// deadline fails fast with ErrDeadlineExceeded instead of occupying a
-// runner), and completion callbacks let a server resolve requests without
-// ticket bookkeeping. A multiply's internal width is its fair share of the
-// Workers budget among the multiplications actually executing — queued-but-
-// idle items never dilute it.
+// There are two ways in. Do runs one request synchronously on the caller's
+// goroutine; Submit and SubmitRequest enqueue it for the runner pool without
+// copying the operands. The asynchronous path is server-grade: work queues
+// on priority lanes (High/Normal/Low, strict priority with FIFO within a
+// lane, softened by a one-second aging window so no lane starves), items may
+// carry deadlines (an item that has not started executing by its deadline
+// fails fast with ErrDeadlineExceeded instead of occupying a runner, and
+// admission control rejects one the backlog already dooms), and completion
+// callbacks let a server resolve requests without ticket bookkeeping. A
+// multiply's internal width is its fair share of the Workers budget among
+// the multiplications actually executing — queued-but-idle items never
+// dilute it.
 //
 // This is the paper's §4.5 bandwidth-vs-compute lesson applied across calls
 // instead of within one: the per-call overheads (operand packing, addition
 // synchronization, goroutine fan-out) are fixed costs that only amortize when
-// consecutive same-shape multiplications share an executor, and the pipelined
-// Stream overlaps the next item's operand staging with the current item's
-// execution the way BLIS-style fused packing overlaps packing with the
-// macro-kernel.
+// consecutive same-shape multiplications share an executor.
 package batch
 
 import (
@@ -60,8 +61,8 @@ const DefaultGrainFLOPs = 64 << 20
 type Resources = resources.Resources
 
 // Options configures a Batcher. The zero value is ready to use: GOMAXPROCS
-// workers, an unlimited warm pool of up to DefaultMaxEntries entries,
-// pipelined streams, and default tuning behavior.
+// workers, a warm pool of at most maxEntries entries with no byte budget,
+// tracing and drift detection on, and default tuning behavior.
 type Options struct {
 	// Resources is the shared execution budget (internal/resources). Workers
 	// is the total goroutine budget across every multiplication in flight
@@ -79,27 +80,15 @@ type Options struct {
 	// when set, restricts the leaf-kernel backends the per-width tuners
 	// enumerate (it seeds Tuning.Backends unless that is set itself).
 	resources.Resources
-	// MaxEntries bounds the warm-entry count independently of bytes
-	// (default DefaultMaxEntries).
-	MaxEntries int
 	// GrainFLOPs is the flop count that justifies one worker of internal
 	// parallelism (default DefaultGrainFLOPs): a multiply is granted at most
 	// flops/GrainFLOPs internal workers, so small problems run sequentially
 	// and rely on inter-multiply concurrency for throughput.
 	GrainFLOPs int64
-	// NoPipeline disables the double-buffered operand staging of Stream;
-	// Push then multiplies synchronously.
-	NoPipeline bool
 	// QueueDepth is the capacity of the asynchronous submission queue,
 	// shared across all priority lanes (default 4×Workers); a full queue
 	// makes Submit block (backpressure).
 	QueueDepth int
-	// AgingWindow bounds lane starvation: a queued item whose wait exceeds
-	// the window is served ahead of higher-priority lanes (oldest first), so
-	// a sustained High flood delays a Low item by at most the window plus
-	// the executions already in flight. Zero means DefaultAgingWindow;
-	// negative disables aging (strict priority, the pre-aging behavior).
-	AgingWindow time.Duration
 	// Clock is the time source for deadlines, admission, aging, and the
 	// sweeper (default: the wall clock). Tests inject a fake clock to make
 	// every time-dependent behavior deterministic.
@@ -122,41 +111,30 @@ type Options struct {
 	Tuning tuner.Options
 }
 
-// DefaultMaxEntries bounds the warm pool when Options.MaxEntries is zero.
-const DefaultMaxEntries = 64
-
-// DefaultAgingWindow bounds lane starvation when Options.AgingWindow is zero.
-const DefaultAgingWindow = time.Second
+const (
+	// maxEntries bounds the warm-entry count independently of bytes.
+	maxEntries = 64
+	// agingWindow bounds lane starvation: a queued item whose wait exceeds
+	// the window is served ahead of higher-priority lanes (oldest first), so
+	// a sustained High flood delays a Low item by at most the window plus
+	// the executions already in flight.
+	agingWindow = time.Second
+)
 
 func (o Options) withDefaults() Options {
 	o.Resources = o.Resources.Normalized()
-	if o.MaxEntries <= 0 {
-		o.MaxEntries = DefaultMaxEntries
-	}
 	if o.GrainFLOPs <= 0 {
 		o.GrainFLOPs = DefaultGrainFLOPs
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4 * o.Workers
 	}
-	switch {
-	case o.AgingWindow == 0:
-		o.AgingWindow = DefaultAgingWindow
-	case o.AgingWindow < 0:
-		o.AgingWindow = -1 // canonical "disabled" (any negative behaves alike)
-	}
 	if o.Clock == nil {
 		o.Clock = wallClock{}
 	}
 	o.Trace = o.Trace.Normalized()
-	o.Drift = o.Drift.withDefaults()
 	return o
 }
-
-// Normalized returns the options with defaults resolved — two option sets
-// behave identically iff their normalized forms are equal (the key of
-// fastmm's shared-batcher map).
-func (o Options) Normalized() Options { return o.withDefaults() }
 
 // entryKey identifies one warm entry: an operation's plan space (op.PlanOp —
 // MultiplyAdd shares Multiply's entries) and shape class at one internal
@@ -400,8 +378,8 @@ func (b *Batcher) sample(o op.Op, m, k, n int, verdict string) *trace.Record {
 // timedRun is run with the shared per-execution metrics and service-time
 // feedback folded in: op and backend mix, effective flops and busy time,
 // the (op, class) EWMA estimate (the admission currency), and the drift
-// check that estimate feeds. Every execution path — sync, async, stream —
-// funnels through it. rec, when non-nil, receives the resolved plan, the
+// check that estimate feeds. Both execution paths — sync and async —
+// funnel through it. rec, when non-nil, receives the resolved plan, the
 // execution's spans (threaded via req.Trace), and the outcome; the caller
 // publishes it.
 func (b *Batcher) timedRun(e *warmEntry, req op.Request, rec *trace.Record) error {
@@ -542,36 +520,6 @@ func (b *Batcher) submit(req op.Request, opts SubmitOpts) (*Ticket, error) {
 	return &tk.ticket, nil
 }
 
-// MultiplyAll computes dsts[i] = as[i]·bs[i] for every i, running independent
-// items concurrently under the Workers budget, and returns the first error.
-func (b *Batcher) MultiplyAll(dsts, as, bs []*mat.Dense) error {
-	if len(dsts) != len(as) || len(as) != len(bs) {
-		return fmt.Errorf("batch: mismatched batch lengths dsts=%d as=%d bs=%d",
-			len(dsts), len(as), len(bs))
-	}
-	tickets := make([]*Ticket, len(dsts))
-	var firstErr error
-	for i := range dsts {
-		t, err := b.Submit(dsts[i], as[i], bs[i])
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		tickets[i] = t
-	}
-	for _, t := range tickets {
-		if t == nil {
-			continue
-		}
-		if err := t.Wait(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // Wait blocks until every multiplication submitted or started so far —
 // asynchronous items and synchronous calls alike — has resolved, and
 // returns the first asynchronous execution error since the last Wait
@@ -595,8 +543,8 @@ func (b *Batcher) Wait() error {
 // returns Wait's error. Close is idempotent, and every caller — including
 // concurrent ones racing the first — blocks until the drain has completed
 // and observes the same error, so the lifecycle guarantee holds for each of
-// them: once any Close call returns, no multiplication — asynchronous,
-// synchronous, or stream-staged — is still executing.
+// them: once any Close call returns, no multiplication — asynchronous or
+// synchronous — is still executing.
 func (b *Batcher) Close() error {
 	b.closeOnce.Do(func() {
 		b.submitMu.Lock()
@@ -673,11 +621,7 @@ func (b *Batcher) Traces() []trace.Record { return b.ring.Snapshot() }
 // only synchronously never spawns a goroutine). Callers hold submitMu.
 func (b *Batcher) startRunners() {
 	b.queueOnce.Do(func() {
-		aging := b.opts.AgingWindow
-		if aging < 0 {
-			aging = 0 // disabled
-		}
-		b.queue = newLaneQueue(b.opts.QueueDepth, b.clock, aging)
+		b.queue = newLaneQueue(b.opts.QueueDepth, b.clock, agingWindow)
 		for i := 0; i < b.opts.Workers; i++ {
 			go b.runner(b.queue)
 		}
@@ -915,26 +859,6 @@ func (b *Batcher) entryFor(o op.Op, m, k, n, load int) (e *warmEntry, hit bool, 
 	}
 }
 
-// liveEntry returns e when it is still installed in the warm pool, else
-// re-resolves the shape through entryFor (re-installing and re-counting the
-// class). Long-lived holders (Stream) call it per item so an evicted entry is
-// never executed through indefinitely — an in-flight call racing an eviction
-// is unavoidable and bounded, but steady-state pinning outside the pool's
-// MaxEntries/Workspace accounting is not.
-func (b *Batcher) liveEntry(e *warmEntry, m, k, n int) (*warmEntry, error) {
-	b.mu.Lock()
-	live := e.elem != nil
-	if live {
-		b.lru.MoveToFront(e.elem)
-	}
-	b.mu.Unlock()
-	if live {
-		return e, nil
-	}
-	fresh, _, err := b.entryFor(e.key.op, m, k, n, 1)
-	return fresh, err
-}
-
 // buildEntry tunes a class representative at the key's width and installs
 // the entry, evicting over-budget LRU entries.
 func (b *Batcher) buildEntry(key entryKey, ch chan struct{}) (*warmEntry, error) {
@@ -1011,7 +935,7 @@ func (b *Batcher) touch(e *warmEntry) {
 // arenas are collectable once in-flight holders finish. Callers hold b.mu.
 func (b *Batcher) evictLocked() {
 	for b.lru.Len() > 1 &&
-		(b.lru.Len() > b.opts.MaxEntries ||
+		(b.lru.Len() > maxEntries ||
 			(b.opts.Workspace > 0 && b.retained > b.opts.Workspace)) {
 		back := b.lru.Back()
 		e := back.Value.(*warmEntry)

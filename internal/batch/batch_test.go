@@ -45,10 +45,6 @@ func testProfile(workers int) *tuner.Profile {
 func testOptions(workers int) Options {
 	return Options{
 		Resources: Resources{Workers: workers},
-		// Disable lane aging by default: the scheduling-order tests pin down
-		// strict priority, and a wall-clock hiccup past the default window
-		// must not promote a lane head mid-test. Aging has dedicated tests.
-		AgingWindow: -1,
 		// Disable the drift loop by default: tests run synthetic calibration
 		// profiles on real machines, so observed times legitimately diverge
 		// from the profile's predictions and would trigger re-probes
@@ -138,23 +134,48 @@ func TestSameClassSharesWarmEntry(t *testing.T) {
 	}
 }
 
+// TestMaxEntriesEviction touches maxEntries+1 distinct shape classes: the
+// pool fills to exactly maxEntries, and the next class evicts the least
+// recently used one (the first touched).
 func TestMaxEntriesEviction(t *testing.T) {
-	opts := testOptions(1)
-	opts.MaxEntries = 2
-	b, err := New(opts)
+	b, err := New(testOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	for _, n := range []int{64, 96, 128, 160} { // four distinct classes
-		A, B := randMat(n, n, int64(n)), randMat(n, n, int64(n+1))
-		C := mat.New(n, n)
+	grid := []int{8, 10, 12, 14, 16} // each value is its own ClassOf bucket
+	var keys []entryKey
+	for _, m := range grid {
+		for _, k := range grid {
+			for _, n := range grid {
+				if len(keys) < maxEntries+1 {
+					keys = append(keys, entryKey{class: tuner.ClassOf(m, k, n), workers: 1})
+				}
+			}
+		}
+	}
+	for i, key := range keys {
+		m, k, n := key.class.Dims()
+		A, B := randMat(m, k, int64(i)), randMat(k, n, int64(i+1))
+		C := mat.New(m, n)
 		if err := b.Do(op.Request{C: C, A: A, B: B}); err != nil {
 			t.Fatal(err)
 		}
+		checkProduct(t, C, A, B)
+		if i == maxEntries-1 {
+			if got := b.WarmEntries(); got != maxEntries {
+				t.Fatalf("%d classes touched, pool holds %d entries", maxEntries, got)
+			}
+		}
 	}
-	if got := b.WarmEntries(); got > 2 {
-		t.Fatalf("MaxEntries=2 but pool holds %d entries", got)
+	if got := b.WarmEntries(); got != maxEntries {
+		t.Fatalf("maxEntries=%d but pool holds %d entries", maxEntries, got)
+	}
+	if b.hasEntry(keys[0]) {
+		t.Fatal("the least recently used class survived the over-bound touch")
+	}
+	if !b.hasEntry(keys[maxEntries]) {
+		t.Fatal("the newest class is missing from the pool")
 	}
 }
 
@@ -214,6 +235,33 @@ func TestWidthPolicy(t *testing.T) {
 	}
 }
 
+// TestMultiplyAllMixedShapes submits one batch of rectangular shapes whose
+// dims sit off the class grid (the executor peels what the plan does not
+// cover) and checks every product after a single Wait.
+func TestMultiplyAllMixedShapes(t *testing.T) {
+	b, err := New(testOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	shapes := [][3]int{{96, 96, 96}, {130, 70, 110}, {257, 129, 191}, {64, 192, 48}}
+	var dsts, as, bs []*mat.Dense
+	for i, s := range shapes {
+		as = append(as, randMat(s[0], s[1], int64(i)))
+		bs = append(bs, randMat(s[1], s[2], int64(i+10)))
+		dsts = append(dsts, mat.New(s[0], s[2]))
+		if _, err := b.Submit(dsts[i], as[i], bs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range shapes {
+		checkProduct(t, dsts[i], as[i], bs[i])
+	}
+}
+
 func TestSubmitWait(t *testing.T) {
 	b, err := New(testOptions(2))
 	if err != nil {
@@ -262,110 +310,6 @@ func TestSubmitWait(t *testing.T) {
 	}
 }
 
-func TestMultiplyAllMixedShapes(t *testing.T) {
-	b, err := New(testOptions(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	shapes := [][3]int{{96, 96, 96}, {130, 70, 110}, {257, 129, 191}, {64, 192, 48}}
-	var dsts, as, bs []*mat.Dense
-	for i, s := range shapes {
-		as = append(as, randMat(s[0], s[1], int64(i)))
-		bs = append(bs, randMat(s[1], s[2], int64(i+10)))
-		dsts = append(dsts, mat.New(s[0], s[2]))
-	}
-	if err := b.MultiplyAll(dsts, as, bs); err != nil {
-		t.Fatal(err)
-	}
-	for i := range shapes {
-		checkProduct(t, dsts[i], as[i], bs[i])
-	}
-	if err := b.MultiplyAll(dsts[:1], as, bs); err == nil {
-		t.Fatal("mismatched batch lengths must fail")
-	}
-}
-
-// TestStreamPipelined verifies the double-buffered pipeline: operand buffers
-// are mutated immediately after Push returns (legal — Push stages copies),
-// and every product must still match the operands as they were at Push time.
-func TestStreamPipelined(t *testing.T) {
-	b, err := New(testOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	const m, k, n = 96, 80, 112
-	s, err := b.Stream(m, k, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	A, B := mat.New(m, k), mat.New(k, n)
-	const items = 7
-	Cs := make([]*mat.Dense, items)
-	wants := make([]*mat.Dense, items)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < items; i++ {
-		A.FillRandom(rng)
-		B.FillRandom(rng)
-		wants[i] = mat.New(m, n)
-		gemm.Mul(wants[i], A, B)
-		Cs[i] = mat.New(m, n)
-		if err := s.Push(Cs[i], A, B); err != nil {
-			t.Fatal(err)
-		}
-		A.Fill(float64(i)) // caller may clobber operands right after Push
-		B.Fill(-1)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < items; i++ {
-		if d := mat.MaxAbsDiff(Cs[i], wants[i]); d > 1e-9*float64(k+1) {
-			t.Fatalf("stream item %d: max diff %g", i, d)
-		}
-	}
-
-	if err := s.Push(mat.New(m, n), mat.New(m, k+1), mat.New(k+1, n)); err == nil {
-		t.Fatal("off-shape push must fail")
-	}
-
-	// The stream survives Flush and works again.
-	A.FillRandom(rng)
-	B.FillRandom(rng)
-	C := mat.New(m, n)
-	if err := s.Push(C, A, B); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	checkProduct(t, C, A, B)
-}
-
-func TestStreamNoPipeline(t *testing.T) {
-	opts := testOptions(1)
-	opts.NoPipeline = true
-	b, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	s, err := b.Stream(64, 64, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	A, B := randMat(64, 64, 1), randMat(64, 64, 2)
-	C := mat.New(64, 64)
-	if err := s.Push(C, A, B); err != nil {
-		t.Fatal(err)
-	}
-	checkProduct(t, C, A, B) // synchronous: the result is ready before Flush
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSemaphoreFIFO(t *testing.T) {
 	var s wsem
 	s.free = 4
@@ -400,8 +344,8 @@ func TestPlanForInvalid(t *testing.T) {
 	if _, err := b.PlanForOp(op.Multiply, 0, 5, 5); err == nil {
 		t.Fatal("invalid shape must fail")
 	}
-	if _, err := b.Stream(5, -1, 5); err == nil {
-		t.Fatal("invalid stream shape must fail")
+	if _, err := b.PlanForOp(op.Op(99), 5, 5, 5); err == nil {
+		t.Fatal("invalid op must fail")
 	}
 	p, err := b.PlanForOp(op.Multiply, 96, 96, 96)
 	if err != nil {

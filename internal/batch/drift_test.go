@@ -46,30 +46,35 @@ func waitForReprobes(t *testing.T, b *Batcher, want int64) Stats {
 
 // TestDriftTriggersSingleReprobe is the drift loop end to end on the fake
 // clock: executions observed at ~1s against a calibration predicting
-// microseconds build an out-of-band streak, the K-th completion declares a
-// drift event, the event triggers exactly one rate-limited re-probe (the
-// warm entry is rebuilt — fresh pointer — and the estimator reseeded), and
-// further drift events inside MinReprobeInterval count but do not re-probe.
+// microseconds build an out-of-band streak, the driftK-th completion declares
+// a drift event, the event triggers exactly one rate-limited re-probe (the
+// warm entry is rebuilt — fresh pointer — and the estimator reseeded),
+// further drift events inside minReprobeInterval count but do not re-probe,
+// and once the fake clock has moved past the interval the next event
+// re-probes again.
 func TestDriftTriggersSingleReprobe(t *testing.T) {
 	const n = 64
-	const k = 3
 	fc := newFakeClock()
 	opts := testOptions(1)
 	opts.Clock = &stepClock{fc: fc, step: time.Second}
-	opts.Drift = DriftOptions{Band: 0.5, K: k, MinReprobeInterval: time.Hour}
+	opts.Drift = DriftOptions{}
 	b := newTestBatcher(t, opts)
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	C := mat.New(n, n)
+	drift := func() {
+		t.Helper()
+		for i := 0; i < driftK; i++ {
+			if err := b.Do(op.Request{C: C, A: A, B: B}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
 	before, _, err := b.entryFor(op.Multiply, n, n, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < k; i++ {
-		if err := b.Do(op.Request{C: C, A: A, B: B}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	drift()
 	st := waitForReprobes(t, b, 1)
 	if st.DriftEvents < 1 {
 		t.Fatalf("DriftEvents = %d after re-probe", st.DriftEvents)
@@ -82,13 +87,10 @@ func TestDriftTriggersSingleReprobe(t *testing.T) {
 		t.Fatal("re-probe did not rebuild the warm entry (same pointer)")
 	}
 
-	// Keep drifting: events accrue, but the rate limiter holds the re-probe
-	// count at one for the next fake-clock hour.
-	for i := 0; i < 3*k; i++ {
-		if err := b.Do(op.Request{C: C, A: A, B: B}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Keep drifting: a second streak declares a second event a few fake
+	// seconds later (each Do reads the step clock a handful of times), well
+	// inside the interval, so the rate limiter holds the re-probe count.
+	drift()
 	st = b.Stats()
 	if st.DriftEvents < 2 {
 		t.Fatalf("continued drift declared no further events: %d", st.DriftEvents)
@@ -96,6 +98,11 @@ func TestDriftTriggersSingleReprobe(t *testing.T) {
 	if st.Reprobes != 1 {
 		t.Fatalf("Reprobes = %d, want exactly 1 (rate-limited)", st.Reprobes)
 	}
+
+	// Past the interval the limiter opens again.
+	fc.Advance(minReprobeInterval)
+	drift()
+	waitForReprobes(t, b, 2)
 }
 
 // TestNoDriftLoopWhenDisabled is the control: the identical drifting

@@ -145,7 +145,6 @@ type laneCounters struct {
 type metrics struct {
 	lanes      [numLanes]laneCounters
 	syncDone   atomic.Int64 // synchronous Do executions
-	streamDone atomic.Int64 // Stream.Push executions (pipelined or not)
 	warmHits   atomic.Int64
 	warmMisses atomic.Int64
 	effFlops   atomic.Int64 // paper Eq. (3) effective flops, accumulated
@@ -232,13 +231,12 @@ type Stats struct {
 	// Lanes indexes by Lane (LaneNormal, LaneHigh, LaneLow).
 	Lanes [NumLanes]LaneStats
 	// QueueDepth is the total queued across lanes; Executing the number of
-	// multiplications currently running (all paths — async, sync, stream).
+	// multiplications currently running (both paths — async and sync).
 	QueueDepth int
 	Executing  int64
-	// SyncDone / StreamDone count executions of the synchronous Do
-	// path and the Stream.Push path, which carry no lane accounting.
-	SyncDone   int64
-	StreamDone int64
+	// SyncDone counts executions of the synchronous Do path, which carries
+	// no lane accounting.
+	SyncDone int64
 	// Warm-entry pool: current size and retained bytes, plus the cumulative
 	// hit/miss split of entry resolutions (a miss tunes a class).
 	WarmEntries       int
@@ -259,8 +257,8 @@ type Stats struct {
 	// DriftEvents counts declared calibration-drift events (K consecutive
 	// completions outside the confidence band around the calibrated
 	// prediction); Reprobes the re-tunes they triggered. Reprobes ≤
-	// DriftEvents: the rate limiter absorbs events inside
-	// Drift.MinReprobeInterval.
+	// DriftEvents: the rate limiter absorbs events inside the one-minute
+	// re-probe interval.
 	DriftEvents int64
 	Reprobes    int64
 	// TraceSampled / TraceLost are the trace ring's lifetime claim and
@@ -313,7 +311,6 @@ func (b *Batcher) Stats() Stats {
 	}
 	s.Executing = b.executing.Load()
 	s.SyncDone = b.met.syncDone.Load()
-	s.StreamDone = b.met.streamDone.Load()
 	s.WarmHits = b.met.warmHits.Load()
 	s.WarmMisses = b.met.warmMisses.Load()
 	b.mu.Lock()

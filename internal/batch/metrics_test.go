@@ -225,8 +225,8 @@ func TestStatsSnapshotCounts(t *testing.T) {
 	if st.QueueDepth != 0 || st.Executing != 0 {
 		t.Fatalf("post-Close depth %d executing %d, want 0/0", st.QueueDepth, st.Executing)
 	}
-	if st.SyncDone != 0 || st.StreamDone != 0 {
-		t.Fatalf("sync/stream done %d/%d, want 0/0 (async-only scenario)", st.SyncDone, st.StreamDone)
+	if st.SyncDone != 0 {
+		t.Fatalf("sync done %d, want 0 (async-only scenario)", st.SyncDone)
 	}
 	if st.WarmMisses == 0 {
 		t.Fatal("first-touch tunings must count as warm misses")
@@ -243,39 +243,31 @@ func TestStatsSnapshotCounts(t *testing.T) {
 	}
 }
 
-// TestStatsSyncAndStreamCounters: the synchronous Multiply and Stream.Push
-// paths carry no lane accounting — they land in SyncDone/StreamDone and the
-// shared execution metrics only.
-func TestStatsSyncAndStreamCounters(t *testing.T) {
+// TestStatsSyncCounters: the synchronous Do path carries no lane
+// accounting — it lands in SyncDone and the shared execution metrics only.
+func TestStatsSyncCounters(t *testing.T) {
 	b := newTestBatcher(t, testOptions(1))
 	const n = 64
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
-	C := mat.New(n, n)
-	if err := b.Do(op.Request{C: C, A: A, B: B}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := b.Stream(n, n, n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 3; i++ {
-		if err := s.Push(mat.New(n, n), A, B); err != nil {
+		if err := b.Do(op.Request{C: mat.New(n, n), A: A, B: B}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	st := b.Stats()
-	if st.SyncDone != 1 {
-		t.Fatalf("SyncDone = %d, want 1", st.SyncDone)
+	if st.SyncDone != 3 {
+		t.Fatalf("SyncDone = %d, want 3", st.SyncDone)
 	}
-	if st.StreamDone != 3 {
-		t.Fatalf("StreamDone = %d, want 3", st.StreamDone)
+	var backendTotal int64
+	for _, c := range st.Backends {
+		backendTotal += c
+	}
+	if backendTotal != 3 {
+		t.Fatalf("backend mix counts %d executions, want 3", backendTotal)
 	}
 	for _, ls := range st.Lanes {
 		if ls.Submitted != 0 || ls.Done != 0 {
-			t.Fatalf("lane %v counted sync/stream work: %+v", ls.Lane, ls)
+			t.Fatalf("lane %v counted sync work: %+v", ls.Lane, ls)
 		}
 	}
 	checkLaneInvariants(t, st)

@@ -97,8 +97,8 @@ func TestTraceSyncRecord(t *testing.T) {
 }
 
 // TestTraceVerdicts pins the async verdicts: accepted items trace as
-// "queued" with their lane and queue wait, already-expired submissions as
-// "expired", and stream pushes as "stream".
+// "queued" with their lane and queue wait, and already-expired submissions
+// as "expired".
 func TestTraceVerdicts(t *testing.T) {
 	b := newTestBatcher(t, traceEverything(testOptions(1)))
 	const n = 48
@@ -119,21 +119,11 @@ func TestTraceVerdicts(t *testing.T) {
 	if err := tk.Wait(); err != ErrDeadlineExceeded {
 		t.Fatalf("expired ticket error = %v", err)
 	}
-	s, err := b.Stream(n, n, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Push(mat.New(n, n), A, B); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if err := b.Wait(); err != nil {
 		t.Fatal(err)
 	}
 
-	want := map[string]int{"queued": 1, "expired": 1, "stream": 1}
+	want := map[string]int{"queued": 1, "expired": 1}
 	got := map[string]int{}
 	for _, r := range b.Traces() {
 		got[r.Verdict]++
@@ -151,10 +141,6 @@ func TestTraceVerdicts(t *testing.T) {
 		case "expired":
 			if r.ServiceNanos != 0 || r.Spans.Len() != 0 {
 				t.Errorf("expired record carries execution state: %+v", r)
-			}
-		case "stream":
-			if !r.WarmHit || r.ServiceNanos <= 0 {
-				t.Errorf("stream record warmHit=%v service=%d", r.WarmHit, r.ServiceNanos)
 			}
 		}
 	}

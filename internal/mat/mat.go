@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"unsafe"
 )
 
 // Dense is a dense row-major matrix, possibly a view into a larger matrix.
@@ -135,6 +136,49 @@ func (m *Dense) ViewInto(dst *Dense, i, j, r, c int) {
 	end := off + (r-1)*m.stride + c
 	dst.rows, dst.cols, dst.stride, dst.data = r, c, m.stride, m.data[off:end]
 }
+
+// Overlaps reports whether x and y share the storage of any element. Two
+// matrices with one stride — every pair of views of one parent — are
+// compared exactly: y's first element is placed on x's row/column grid and
+// the two rectangles are intersected, so disjoint blocks of one parent (the
+// halves of a split, the quadrants of a recursion step) do not overlap. For
+// different strides it compares address extents, which also reports
+// interleaved-but-disjoint storage as overlapping. Empty matrices overlap
+// nothing.
+func Overlaps(x, y *Dense) bool {
+	if len(x.data) == 0 || len(y.data) == 0 {
+		return false
+	}
+	const size = unsafe.Sizeof(float64(0))
+	px := uintptr(unsafe.Pointer(unsafe.SliceData(x.data)))
+	py := uintptr(unsafe.Pointer(unsafe.SliceData(y.data)))
+	var d int // y's first element, in elements from x's first
+	if py >= px {
+		d = int((py - px) / size)
+	} else {
+		d = -int((px - py) / size)
+	}
+	if d >= len(x.data) || -d >= len(y.data) {
+		return false // disjoint address extents
+	}
+	s := x.stride
+	if y.stride != s {
+		return true
+	}
+	// On x's grid y's row i starts at row r+i, column c; past the stride it
+	// wraps onto the start of row r+i+1.
+	r, c := d/s, d%s
+	if c < 0 {
+		r, c = r-1, c+s
+	}
+	if meets(r, r+y.rows, x.rows) && meets(c, min(c+y.cols, s), x.cols) {
+		return true
+	}
+	return c+y.cols > s && meets(r+1, r+1+y.rows, x.rows) && meets(0, c+y.cols-s, x.cols)
+}
+
+// meets reports whether [lo, hi) intersects [0, n).
+func meets(lo, hi, n int) bool { return lo < n && hi > 0 }
 
 // Clone returns a compact (stride == cols) deep copy of m.
 func (m *Dense) Clone() *Dense {

@@ -498,3 +498,49 @@ func TestViewIntoOutOfBoundsPanics(t *testing.T) {
 	var v Dense
 	m.ViewInto(&v, 2, 2, 2, 2)
 }
+
+// TestOverlaps covers the exact same-stride path (views of one parent, with
+// and without wrap-around past the stride) and the extent fallback.
+func TestOverlaps(t *testing.T) {
+	p := New(6, 8)
+	other := New(6, 8)
+	flat := FromSlice(1, 48, p.Data()) // p's storage as one row: stride 48
+	cases := []struct {
+		name string
+		x, y *Dense
+		want bool
+	}{
+		{"same matrix", p, p, true},
+		{"separate allocations", p, other, false},
+		{"left and right halves", p.View(0, 0, 6, 4), p.View(0, 4, 6, 4), false},
+		{"top and bottom halves", p.View(0, 0, 3, 8), p.View(3, 0, 3, 8), false},
+		{"diagonal quadrants", p.View(0, 0, 3, 4), p.View(3, 4, 3, 4), false},
+		{"overlapping blocks", p.View(0, 0, 4, 5), p.View(2, 3, 4, 5), true},
+		{"overlap reversed", p.View(2, 3, 4, 5), p.View(0, 0, 4, 5), true},
+		{"one shared corner", p.View(0, 0, 3, 3), p.View(2, 2, 3, 3), true},
+		{"view inside parent", p, p.View(1, 1, 2, 2), true},
+		{"interleaved columns of one row band", p.View(1, 0, 2, 3), p.View(0, 5, 3, 3), false},
+		{"empty view", p.View(2, 2, 0, 3), p, false},
+		{"zero value", &Dense{}, p, false},
+		{"different strides, shared extent", flat, p.View(5, 7, 1, 1), true},
+		{"different strides, disjoint extents", p.View(0, 0, 2, 8), FromSlice(2, 8, p.Data()[16:32]), false},
+	}
+	for _, c := range cases {
+		if got := Overlaps(c.x, c.y); got != c.want {
+			t.Errorf("%s: Overlaps = %v, want %v", c.name, got, c.want)
+		}
+	}
+	// Wrap-around: same stride, y's rows run past the stride onto the next
+	// grid row, where they land on x only if x covers those columns.
+	data := make([]float64, 40)
+	x := FromSlice(4, 10, data).View(0, 0, 4, 2) // columns 0-1 of rows 0-3
+	y := &Dense{}
+	FromSlice(3, 10, data[9:39]).ViewInto(y, 0, 0, 3, 2) // starts at (0,9), wraps to (1,0)
+	if !Overlaps(x, y) || !Overlaps(y, x) {
+		t.Error("wrapped rows landing on x's first column must overlap")
+	}
+	FromSlice(3, 10, data[7:37]).ViewInto(y, 0, 0, 3, 2) // columns 7-8: no wrap
+	if Overlaps(x, y) || Overlaps(y, x) {
+		t.Error("columns 7-8 never meet columns 0-1")
+	}
+}

@@ -14,6 +14,7 @@
 package op
 
 import (
+	"errors"
 	"fmt"
 
 	"fastmm/internal/mat"
@@ -118,7 +119,8 @@ func (o Op) Shape(ar, ac, bc int) (m, k, n int) {
 //	Syrk:        C = Alpha·A·Aᵗ + Beta·C   (B must be nil)
 //
 // The zero Alpha means 1 (so the zero Request value of an op is the plain
-// product); Beta zero means overwrite. C must not alias A or B.
+// product); Beta zero means overwrite. C must not share storage with A or B
+// (Validate returns ErrAlias).
 type Request struct {
 	Op          Op
 	C           *mat.Dense
@@ -153,7 +155,14 @@ func (r Request) Shape() (m, k, n int) {
 	return r.Op.Shape(r.A.Rows(), r.A.Cols(), bc)
 }
 
-// Validate checks the request's operands against its op's dimension rules.
+// ErrAlias is returned by Validate for a request whose output C shares
+// storage with an input: the executors read A and B after they start
+// writing C, so an aliased request would read its own partial results.
+var ErrAlias = errors.New("op: C shares storage with an input operand")
+
+// Validate checks the request's operands against its op's dimension rules
+// and rejects an output that shares storage with an input (ErrAlias). It
+// allocates nothing on the accept path.
 func (r Request) Validate() error {
 	if !r.Op.Valid() {
 		return fmt.Errorf("op: invalid op %d", int(r.Op))
@@ -186,6 +195,9 @@ func (r Request) Validate() error {
 			return fmt.Errorf("op: %s: dimension mismatch C %d×%d = A %d×%d · B %d×%d",
 				r.Op, r.C.Rows(), r.C.Cols(), r.A.Rows(), r.A.Cols(), r.B.Rows(), r.B.Cols())
 		}
+	}
+	if mat.Overlaps(r.C, r.A) || (r.B != nil && mat.Overlaps(r.C, r.B)) {
+		return ErrAlias
 	}
 	return nil
 }

@@ -513,14 +513,15 @@ func (t *Tuner) decide(o op.Op, m, k, n int) (*decision, error) {
 	cached, onDisk := t.disk[key]
 	t.mu.Unlock()
 
-	if onDisk {
+	if onDisk && t.withinBudget(cached) {
 		if d, err := t.build(o, cached); err == nil {
 			t.remember(key, d, false)
 			return d, nil
 		}
-		// A cache entry naming an unknown algorithm (edited file, older
-		// catalog) falls through to a fresh ranking.
 	}
+	// A cache entry naming an unknown algorithm (edited file, older
+	// catalog) or outside this tuner's budget falls through to a fresh
+	// ranking.
 
 	ranked, err := t.RankOp(o, m, k, n)
 	if err != nil {
@@ -532,6 +533,17 @@ func (t *Tuner) decide(o op.Op, m, k, n int) (*decision, error) {
 	}
 	t.remember(key, d, true)
 	return d, nil
+}
+
+// withinBudget reports whether a persisted plan is one this tuner could
+// have chosen itself: its Workers in [1, Workers] and, for a fast plan, its
+// Steps in [1, MaxSteps]. The cache key already encodes the budget, so only
+// an edited or corrupted file fails this.
+func (t *Tuner) withinBudget(p Plan) bool {
+	if p.Workers < 1 || p.Workers > t.opts.Workers {
+		return false
+	}
+	return p.IsClassical() || (p.Steps >= 1 && p.Steps <= t.opts.MaxSteps)
 }
 
 // remember installs a decision in the LRU and, when persist is set, appends

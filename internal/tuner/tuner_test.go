@@ -212,6 +212,24 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatalf("stale entry must fall back to ranking: %v %v", got, err)
 	}
 
+	// Well-formed entries outside the tuner's budget (an edited file) are
+	// skipped too: a 1-worker, MaxSteps-3 tuner never runs 4 workers or 9
+	// steps because the cache says so.
+	for _, tampered := range []Plan{
+		{Algorithm: want.Algorithm, Steps: 1, Parallel: "dfs", Strategy: "write-once", Workers: 4},
+		{Algorithm: "winograd", Steps: 9, Parallel: "sequential", Strategy: "streaming", Workers: 1},
+		{Algorithm: "winograd", Steps: 0, Parallel: "sequential", Strategy: "streaming", Workers: 1},
+		{Algorithm: ClassicalAlgorithm, Workers: 0},
+	} {
+		if err := saveEntries(map[string]Plan{first.key(op.Multiply, 512, 512, 512): tampered}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := mustTuner(t, opts).PlanForOp(op.Multiply, 512, 512, 512)
+		if err != nil || got.Workers != want.Workers || got.Steps != want.Steps || got.Algorithm != want.Algorithm {
+			t.Fatalf("tampered entry %v adopted: got %v (%v), want %v", tampered, got, err, want)
+		}
+	}
+
 	// Disabled disk layer still works.
 	t.Setenv(EnvCacheDir, "off")
 	if _, _, ok := Paths(); ok {
